@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/bytes.h"
 #include "src/serve/ad_server.h"
 #include "src/serve/latency_histogram.h"
 #include "src/serve/load_gen.h"
@@ -83,14 +84,6 @@ struct LevelResult {
   double p50_us = 0.0, p99_us = 0.0, p999_us = 0.0;
   double goodput_rps = 0.0;
 };
-
-uint64_t Fnv1a(const std::string& bytes, uint64_t hash) {
-  for (const char byte : bytes) {
-    hash ^= static_cast<uint8_t>(byte);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 double Hi(uint64_t digest) { return static_cast<double>(digest >> 32); }
 double Lo(uint64_t digest) { return static_cast<double>(digest & 0xffffffffull); }
@@ -202,11 +195,11 @@ int RunLevel(const DecisionEngine& engine, const ChaosBenchOptions& bench,
   // plan cut each stream, so every level pins its own digest.
   uint64_t digest = 0;
   for (const auto& connection : report.captured_frames) {
-    uint64_t connection_digest = 14695981039346656037ull;
+    Fnv1a connection_digest;
     for (const auto& frame : connection) {
-      connection_digest = Fnv1a(frame.payload, connection_digest);
+      connection_digest.MixBytes(frame.payload);
     }
-    digest += connection_digest;
+    digest += connection_digest.value();
   }
   out->name = name;
   out->rate = rate;

@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "src/common/bytes.h"
 #include "src/serve/ad_server.h"
 #include "src/serve/latency_histogram.h"
 #include "src/serve/load_gen.h"
@@ -50,14 +51,6 @@ ServingBenchOptions OptionsFromArgv(int argc, char** argv) {
     }
   }
   return options;
-}
-
-uint64_t Fnv1a(const std::string& bytes, uint64_t hash) {
-  for (const char byte : bytes) {
-    hash ^= static_cast<uint8_t>(byte);
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 double Hi(uint64_t digest) { return static_cast<double>(digest >> 32); }
@@ -109,9 +102,9 @@ int Run(const ServingBenchOptions& serving, bench::BenchJson& json) {
   int64_t bundles = 0;
   int64_t decided = 0;
   for (const std::vector<std::string>& connection : report.captured) {
-    uint64_t connection_digest = 14695981039346656037ull;
+    Fnv1a connection_digest;
     for (const std::string& payload : connection) {
-      connection_digest = Fnv1a(payload, connection_digest);
+      connection_digest.MixBytes(payload);
       ++decided;
       const StatusOr<WireResponse> response = DecodeResponsePayload(std::span<const uint8_t>(
           reinterpret_cast<const uint8_t*>(payload.data()), payload.size()));
@@ -119,7 +112,7 @@ int Run(const ServingBenchOptions& serving, bench::BenchJson& json) {
         ++bundles;
       }
     }
-    digest += connection_digest;  // Wrapping sum: connection-order free.
+    digest += connection_digest.value();  // Wrapping sum: connection-order free.
   }
   const double bundle_fraction =
       decided > 0 ? static_cast<double>(bundles) / static_cast<double>(decided) : 0.0;

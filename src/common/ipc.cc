@@ -13,16 +13,6 @@
 namespace pad {
 namespace {
 
-constexpr size_t kFrameHeaderBytes = 4;  // The u32 length prefix.
-
-uint32_t ReadU32Le(const char* data) {
-  uint32_t value = 0;
-  for (int byte = 0; byte < 4; ++byte) {
-    value |= static_cast<uint32_t>(static_cast<unsigned char>(data[byte])) << (8 * byte);
-  }
-  return value;
-}
-
 Status ErrnoStatus(const char* what) {
   return Status::Unavailable(std::string(what) + ": " + std::strerror(errno));
 }
@@ -46,82 +36,6 @@ Status SetNonBlocking(int fd) {
 }
 
 // ---------------------------------------------------------------------------
-// Payload packing.
-
-void IpcPutU32(std::string* out, uint32_t value) {
-  for (int byte = 0; byte < 4; ++byte) {
-    out->push_back(static_cast<char>((value >> (8 * byte)) & 0xffu));
-  }
-}
-
-void IpcPutU64(std::string* out, uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    out->push_back(static_cast<char>((value >> (8 * byte)) & 0xffull));
-  }
-}
-
-void IpcPutI64(std::string* out, int64_t value) { IpcPutU64(out, static_cast<uint64_t>(value)); }
-
-void IpcPutF64(std::string* out, double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  IpcPutU64(out, bits);
-}
-
-void IpcPutString(std::string* out, std::string_view value) {
-  IpcPutU32(out, static_cast<uint32_t>(value.size()));
-  out->append(value);
-}
-
-bool IpcParser::Need(size_t bytes) {
-  if (!ok_ || data_.size() - pos_ < bytes) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-uint32_t IpcParser::GetU32() {
-  if (!Need(4)) {
-    return 0;
-  }
-  const uint32_t value = ReadU32Le(data_.data() + pos_);
-  pos_ += 4;
-  return value;
-}
-
-uint64_t IpcParser::GetU64() {
-  if (!Need(8)) {
-    return 0;
-  }
-  uint64_t value = 0;
-  for (int byte = 0; byte < 8; ++byte) {
-    value |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + byte])) << (8 * byte);
-  }
-  pos_ += 8;
-  return value;
-}
-
-int64_t IpcParser::GetI64() { return static_cast<int64_t>(GetU64()); }
-
-double IpcParser::GetF64() {
-  const uint64_t bits = GetU64();
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-std::string IpcParser::GetString() {
-  const uint32_t length = GetU32();
-  if (!Need(length)) {
-    return std::string();
-  }
-  std::string value(data_.substr(pos_, length));
-  pos_ += length;
-  return value;
-}
-
-// ---------------------------------------------------------------------------
 // Frame I/O.
 
 Status SendIpcFrame(int fd, uint8_t type, std::string_view payload) {
@@ -130,8 +44,7 @@ Status SendIpcFrame(int fd, uint8_t type, std::string_view payload) {
   }
   std::string frame;
   frame.reserve(kFrameHeaderBytes + 1 + payload.size());
-  IpcPutU32(&frame, static_cast<uint32_t>(1 + payload.size()));
-  frame.push_back(static_cast<char>(type));
+  ByteWriter(&frame).U32(static_cast<uint32_t>(1 + payload.size())).U8(type);
   frame.append(payload);
 
   // SendAll (src/common/sockio.h) retries EINTR and short writes and turns a
@@ -141,16 +54,23 @@ Status SendIpcFrame(int fd, uint8_t type, std::string_view payload) {
 }
 
 StatusOr<IpcMessage> RecvIpcFrame(int fd, uint32_t max_payload) {
+  // A read that fails after the frame's first byte tore a frame the peer had
+  // started: data loss, not the clean EOF of a peer that exited between frames.
+  const auto torn = [](size_t got, size_t expected, const Status& cause) {
+    return Status::DataLoss("ipc frame torn: got " + std::to_string(got) + " of " +
+                            std::to_string(expected) + " bytes (" + cause.message() + ")");
+  };
   char header[kFrameHeaderBytes];
   size_t got = 0;
-  PAD_RETURN_IF_ERROR(ReadFully(fd, header, sizeof(header), &got));
-  const uint32_t length = ReadU32Le(header);
-  if (length == 0 || length > max_payload) {
-    return Status::DataLoss("ipc frame length " + std::to_string(length) +
-                            " outside (0, " + std::to_string(max_payload) + "]");
+  if (const Status status = ReadFully(fd, header, sizeof(header), &got); !status.ok()) {
+    return got == 0 ? status : torn(got, sizeof(header), status);
   }
+  const uint32_t length = LoadLe<uint32_t>(header);
+  PAD_RETURN_IF_ERROR(CheckFrameLength(length, max_payload));
   std::string body(length, '\0');
-  PAD_RETURN_IF_ERROR(ReadFully(fd, body.data(), body.size(), &got));
+  if (const Status status = ReadFully(fd, body.data(), body.size(), &got); !status.ok()) {
+    return torn(sizeof(header) + got, sizeof(header) + length, status);
+  }
   IpcMessage message;
   message.type = static_cast<uint8_t>(body[0]);
   message.payload = body.substr(1);
@@ -158,7 +78,7 @@ StatusOr<IpcMessage> RecvIpcFrame(int fd, uint32_t max_payload) {
 }
 
 Status IpcChannelReader::Pump(int fd) {
-  PAD_RETURN_IF_ERROR(poison_);
+  PAD_RETURN_IF_ERROR(frames_.Append({}));  // Sticky poison.
   char chunk[4096];
   while (true) {
     const ssize_t n = ReadSome(fd, chunk, sizeof(chunk));
@@ -171,13 +91,8 @@ Status IpcChannelReader::Pump(int fd) {
     if (n == 0) {
       return Status::Unavailable("peer closed");
     }
-    // Reclaim the consumed prefix before growing (wire.h's FrameReader
-    // discipline: amortized O(1), bounded memory for any frame mix).
-    if (consumed_ > 0) {
-      buffer_.erase(0, consumed_);
-      consumed_ = 0;
-    }
-    buffer_.append(chunk, static_cast<size_t>(n));
+    PAD_RETURN_IF_ERROR(
+        frames_.Append({reinterpret_cast<const uint8_t*>(chunk), static_cast<size_t>(n)}));
     if (static_cast<size_t>(n) < sizeof(chunk)) {
       return Status::Ok();  // Drained what was available.
     }
@@ -185,26 +100,12 @@ Status IpcChannelReader::Pump(int fd) {
 }
 
 Status IpcChannelReader::Next(IpcMessage* message, bool* have) {
-  *have = false;
-  PAD_RETURN_IF_ERROR(poison_);
-  const size_t pending = buffer_.size() - consumed_;
-  if (pending < kFrameHeaderBytes) {
-    return Status::Ok();
+  PAD_RETURN_IF_ERROR(frames_.Next(&message->payload, have));
+  if (*have) {
+    // The frame is [type][payload]; CheckFrameLength guarantees the type byte.
+    message->type = static_cast<uint8_t>(message->payload[0]);
+    message->payload.erase(0, 1);
   }
-  const uint32_t length = ReadU32Le(buffer_.data() + consumed_);
-  if (length == 0 || length > max_payload_) {
-    poison_ = Status::DataLoss("ipc frame length " + std::to_string(length) +
-                               " outside (0, " + std::to_string(max_payload_) + "]");
-    return poison_;
-  }
-  if (pending < kFrameHeaderBytes + length) {
-    return Status::Ok();
-  }
-  const char* body = buffer_.data() + consumed_ + kFrameHeaderBytes;
-  message->type = static_cast<uint8_t>(body[0]);
-  message->payload.assign(body + 1, length - 1);
-  consumed_ += kFrameHeaderBytes + length;
-  *have = true;
   return Status::Ok();
 }
 

@@ -6,13 +6,14 @@
 //
 //   [u32 frame_length (LE)] [u8 type] [frame_length - 1 bytes of payload]
 //
-// — the same framing discipline as the serving wire protocol
-// (src/serve/wire.h): integers little-endian, doubles as the LE bytes of
-// their IEEE-754 bit pattern, and *strict* decoding. These bytes cross a
-// process boundary, so a short read, a torn frame, or a hostile length word
-// is an expected input, never an abort: every decoder returns a pad::Status
-// and a declared length above `max_payload` poisons the stream (there is no
-// way to resynchronize inside a length-prefixed stream).
+// Payloads are packed with the shared ByteWriter and parsed with the strict
+// ByteReader (src/common/bytes.h), the same codec as the serving wire
+// protocol and the checkpoint journal. These bytes cross a process boundary,
+// so a short read, a torn frame, or a hostile length word is an expected
+// input, never an abort: every read path returns a pad::Status, and a frame
+// length of zero or above `max_payload` is kDataLoss (CheckFrameLength) and
+// poisons the stream (there is no way to resynchronize inside a
+// length-prefixed stream).
 //
 // Two read paths, matching the two sides of the pipe:
 //   * RecvIpcFrame — blocking, for a worker whose only job is to wait for
@@ -23,10 +24,10 @@
 #define ADPAD_SRC_COMMON_IPC_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 
+#include "src/common/bytes.h"
 #include "src/common/status.h"
 
 namespace pad {
@@ -55,42 +56,6 @@ StatusOr<IpcSocketPair> CreateIpcSocketPair();
 Status SetNonBlocking(int fd);
 
 // ---------------------------------------------------------------------------
-// Payload packing. Append-only writers over a std::string; the strict
-// bounds-checked parser mirrors them. Doubles round-trip through their IEEE
-// bits so a digest shipped through a frame compares bit-exactly.
-
-void IpcPutU32(std::string* out, uint32_t value);
-void IpcPutU64(std::string* out, uint64_t value);
-void IpcPutI64(std::string* out, int64_t value);
-void IpcPutF64(std::string* out, double value);
-// [u32 length][bytes] — for diagnostics text.
-void IpcPutString(std::string* out, std::string_view value);
-
-class IpcParser {
- public:
-  explicit IpcParser(std::string_view payload) : data_(payload) {}
-
-  uint32_t GetU32();
-  uint64_t GetU64();
-  int64_t GetI64();
-  double GetF64();
-  std::string GetString();
-
-  // True while every read so far was in bounds.
-  bool ok() const { return ok_; }
-  // True when all reads were in bounds and the payload is fully consumed —
-  // a trailing-garbage frame is as malformed as a short one.
-  bool Finished() const { return ok_ && pos_ == data_.size(); }
-
- private:
-  bool Need(size_t bytes);
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-// ---------------------------------------------------------------------------
 // Frame I/O.
 
 // Writes one complete frame, retrying on EINTR and partial writes. Uses
@@ -99,32 +64,29 @@ class IpcParser {
 Status SendIpcFrame(int fd, uint8_t type, std::string_view payload);
 
 // Blocking receive of one complete frame. kUnavailable with message
-// "peer closed" marks clean EOF (the other end exited); any other
-// kUnavailable is a transport error; kDataLoss is a hostile length word.
+// "peer closed" marks clean EOF at a frame boundary (the other end exited);
+// any other kUnavailable is a transport error; kDataLoss is a hostile length
+// word or a frame torn by EOF partway through.
 StatusOr<IpcMessage> RecvIpcFrame(int fd, uint32_t max_payload = kMaxIpcPayload);
 
 // Incremental frame assembly over a nonblocking fd for the coordinator's
 // poll loop: Pump() after poll says readable, then drain Next() until it
-// reports no complete message. An oversized length prefix poisons the
-// reader permanently, like serve's FrameReader.
+// reports no complete message. A FrameReader does the reassembly, so a
+// malformed length prefix poisons the channel permanently.
 class IpcChannelReader {
  public:
-  explicit IpcChannelReader(uint32_t max_payload = kMaxIpcPayload)
-      : max_payload_(max_payload) {}
+  explicit IpcChannelReader(uint32_t max_payload = kMaxIpcPayload) : frames_(max_payload) {}
 
   // Reads whatever bytes are available. Returns kUnavailable with message
   // "peer closed" on EOF; OK on EAGAIN (nothing to read right now).
   Status Pump(int fd);
 
   // Pops the next complete message; *have = false when more bytes are
-  // needed. Fails (and stays failed) on an oversized length prefix.
+  // needed. Fails (and stays failed) on a malformed length prefix.
   Status Next(IpcMessage* message, bool* have);
 
  private:
-  uint32_t max_payload_;
-  std::string buffer_;
-  size_t consumed_ = 0;  // Prefix of buffer_ already handed out.
-  Status poison_;        // First fatal framing error, sticky.
+  FrameReader frames_;
 };
 
 }  // namespace pad

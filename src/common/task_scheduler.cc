@@ -1,5 +1,6 @@
 #include "src/common/task_scheduler.h"
 
+#include <algorithm>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -131,6 +132,10 @@ std::vector<std::deque<int64_t>> PartitionTasks(int64_t n, int workers) {
     }
   }
   return queues;
+}
+
+int HardwareThreads() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TaskSchedulerStats RunTaskQueues(std::vector<std::deque<int64_t>> queues,

@@ -1,10 +1,11 @@
-// Work-stealing task scheduler for coarse, independent, pre-partitioned jobs.
+// Work-stealing task scheduler for coarse, independent, pre-partitioned jobs:
+// the one scheduler in the tree. The shard engine runs markets on it, and the
+// sweep engine (src/core/sweep.h) runs whole simulations on it.
 //
-// The ThreadPool (thread_pool.h) hands indices out of one shared cursor,
-// which balances perfectly but destroys locality: a worker that must walk a
-// sequential input stream (the shard engine's PopulationStream) wants to run
-// *its own contiguous run* of tasks in order and only take someone else's
-// work when it would otherwise idle. This scheduler models exactly that:
+// A worker that must walk a sequential input stream (the shard engine's
+// PopulationStream) wants to run *its own contiguous run* of tasks in order
+// and only take someone else's work when it would otherwise idle. This
+// scheduler models exactly that:
 //
 //   * Each worker owns a deque seeded with its initial task run. The owner
 //     pops from the FRONT, preserving the sequential order the caller built
@@ -22,7 +23,7 @@
 // Determinism: the scheduler never owns randomness that a task can observe
 // and never aggregates results — the caller slots outputs by task index.
 // Which worker runs which task (and in what interleaving) is explicitly
-// unspecified; callers must make tasks hermetic, exactly as for ThreadPool.
+// unspecified; callers must make tasks hermetic.
 // The shard engine's digest merge is order-independent, which is what makes
 // stealing safe there (see src/core/shard_engine.h).
 //
@@ -80,6 +81,10 @@ TaskSchedulerStats RunTaskQueues(std::vector<std::deque<int64_t>> queues,
 // [w*n/workers, (w+1)*n/workers). The shard engine uses this so each
 // worker's own run walks markets — and therefore users — in order.
 std::vector<std::deque<int64_t>> PartitionTasks(int64_t n, int workers);
+
+// Number of concurrent hardware threads, always >= 1: what a worker count of
+// 0 ("ask the hardware") resolves to.
+int HardwareThreads();
 
 }  // namespace pad
 

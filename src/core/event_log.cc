@@ -1,8 +1,8 @@
 #include "src/core/event_log.h"
 
-#include <cstring>
 #include <ostream>
 
+#include "src/common/bytes.h"
 #include "src/common/check.h"
 #include "src/common/csv.h"
 #include "src/common/units.h"
@@ -85,29 +85,18 @@ void EventLog::WriteCsv(std::ostream& out) const {
 }
 
 uint64_t EventLog::Digest() const {
-  // FNV-1a over each field's bytes in event order (never whole-struct bytes:
-  // padding is indeterminate and would poison the hash).
-  uint64_t hash = 0xcbf29ce484222325ull;
-  const auto mix = [&hash](uint64_t bits) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (bits >> (8 * byte)) & 0xffull;
-      hash *= 0x100000001b3ull;
-    }
-  };
-  const auto mix_double = [&mix](double value) {
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  };
+  // Field by field in event order (never whole-struct bytes: padding is
+  // indeterminate and would poison the hash).
+  Fnv1a hash;
   for (const SimEvent& event : events_) {
-    mix_double(event.time);
-    mix(static_cast<uint64_t>(event.type));
-    mix(static_cast<uint64_t>(event.impression_id));
-    mix(static_cast<uint64_t>(event.campaign_id));
-    mix(static_cast<uint64_t>(static_cast<int64_t>(event.client_id)));
-    mix_double(event.value);
+    hash.MixF64(event.time)
+        .MixU64(static_cast<uint64_t>(event.type))
+        .Mix(event.impression_id)
+        .Mix(event.campaign_id)
+        .Mix(event.client_id)
+        .MixF64(event.value);
   }
-  return hash;
+  return hash.value();
 }
 
 std::array<int64_t, 24> EventLog::ByHourOfDay(SimEventType type) const {

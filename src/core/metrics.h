@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 
 #include "src/auction/ledger.h"
 #include "src/radio/machine.h"
@@ -130,6 +131,66 @@ struct Comparison {
   // Revenue under PAD relative to the baseline's billed revenue (1.0 = parity).
   double RevenueRatio() const;
 };
+
+// Calls f(field) for every metric field of a BaselineResult or PadRunResult
+// (const or not), in one fixed order: energy, ledger, service, scored_days,
+// then for PAD runs the calibration curve, the impression counters and the
+// fault counters. Fields are doubles or int64_t. This order *is* the
+// checkpoint journal's record layout and the MetricsDigest input, so
+// appending a field changes both and reordering breaks every existing
+// journal and golden digest.
+template <class R, class F>
+void VisitMetrics(R& result, F&& f) {
+  for (auto& category : result.energy.radio.by_category) {
+    f(category.transfer_j);
+    f(category.tail_j);
+    f(category.bytes);
+    f(category.transfers);
+  }
+  f(result.energy.radio.promo_time_s);
+  f(result.energy.radio.active_time_s);
+  f(result.energy.radio.tail_time_s);
+  f(result.energy.local_j);
+
+  auto& ledger = result.ledger;
+  f(ledger.sold);
+  f(ledger.billed);
+  f(ledger.violated);
+  f(ledger.excess_displays);
+  f(ledger.displays);
+  f(ledger.billed_revenue);
+  f(ledger.violated_value);
+
+  auto& service = result.service;
+  f(service.slots);
+  f(service.served_from_cache);
+  f(service.fallback_fetches);
+  f(service.unfilled);
+  f(service.expired_cache_drops);
+  f(result.scored_days);
+
+  if constexpr (std::is_same_v<std::remove_const_t<R>, PadRunResult>) {
+    for (auto& bucket : result.calibration) {
+      f(bucket.planned);
+      f(bucket.delivered);
+      f(bucket.sum_predicted);
+    }
+    f(result.impressions_dispatched);
+    f(result.impressions_sold);
+
+    auto& faults = result.faults;
+    f(faults.reports_dropped);
+    f(faults.reports_delayed);
+    f(faults.stale_windows);
+    f(faults.fetch_failures);
+    f(faults.fetch_retries);
+    f(faults.bundles_abandoned);
+    f(faults.syncs_missed);
+    f(faults.offline_epochs);
+    f(faults.offline_fetch_misses);
+    f(faults.offline_violations);
+  }
+}
 
 }  // namespace pad
 

@@ -29,7 +29,7 @@ namespace pad {
 namespace {
 
 // Message types on a coordinator<->worker channel. The payload layouts are
-// fixed and strict (IpcParser::Finished is required): these frames cross a
+// fixed and strict (ByteReader::Finished is required): these frames cross a
 // process boundary, so a malformed one is data loss, not a crash.
 enum IpcMsgType : uint8_t {
   kMsgHello = 1,     // worker -> coord: journal open, ready.  [u32 worker]
@@ -76,16 +76,13 @@ void SigchldHandler(int) {
 
 Status SendWorkerError(int fd, const Status& status) {
   std::string payload;
-  IpcPutU32(&payload, static_cast<uint32_t>(status.code()));
-  IpcPutString(&payload, status.message());
+  ByteWriter(&payload).U32(static_cast<uint32_t>(status.code())).String(status.message());
   return SendIpcFrame(fd, kMsgError, payload);
 }
 
 Status SendWorkerDone(int fd, uint32_t market, uint64_t pad_digest, double busy_s) {
   std::string payload;
-  IpcPutU32(&payload, market);
-  IpcPutU64(&payload, pad_digest);
-  IpcPutF64(&payload, busy_s);
+  ByteWriter(&payload).U32(market).U64(pad_digest).F64(busy_s);
   return SendIpcFrame(fd, kMsgDone, payload);
 }
 
@@ -109,7 +106,7 @@ int WorkerMain(int fd, int worker, const PadConfig& aligned,
   ResumedJournal journal = *std::move(journal_or);
 
   std::string hello;
-  IpcPutU32(&hello, static_cast<uint32_t>(worker));
+  ByteWriter(&hello).U32(static_cast<uint32_t>(worker));
   if (!SendIpcFrame(fd, kMsgHello, hello).ok()) {
     return ExitCodeFor(Status::Unavailable("coordinator closed"));
   }
@@ -141,8 +138,8 @@ int WorkerMain(int fd, int worker, const PadConfig& aligned,
       (void)SendWorkerError(fd, status);
       return ExitCodeFor(status);
     }
-    IpcParser parser(message->payload);
-    const uint32_t market = parser.GetU32();
+    ByteReader parser(message->payload);
+    const uint32_t market = parser.U32();
     if (!parser.Finished() || market >= static_cast<uint32_t>(num_markets)) {
       const Status status = Status::DataLoss("malformed ASSIGN frame");
       (void)SendWorkerError(fd, status);
@@ -472,10 +469,10 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
         return Status::Ok();
       }
       case kMsgDone: {
-        IpcParser parser(message.payload);
-        const uint32_t market = parser.GetU32();
-        const uint64_t digest = parser.GetU64();
-        const double busy_s = parser.GetF64();
+        ByteReader parser(message.payload);
+        const uint32_t market = parser.U32();
+        const uint64_t digest = parser.U64();
+        const double busy_s = parser.F64();
         if (!parser.Finished() || market >= static_cast<uint32_t>(num_markets)) {
           return Status::DataLoss("malformed DONE frame from worker " +
                                   std::to_string(w.index));
@@ -502,9 +499,9 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
         return Status::Ok();
       }
       case kMsgError: {
-        IpcParser parser(message.payload);
-        const uint32_t code = parser.GetU32();
-        const std::string text = parser.GetString();
+        ByteReader parser(message.payload);
+        const uint32_t code = parser.U32();
+        const std::string text = parser.String();
         if (!parser.Finished() || code > static_cast<uint32_t>(StatusCode::kInternal)) {
           return Status::DataLoss("malformed ERROR frame from worker " +
                                   std::to_string(w.index));
@@ -636,7 +633,7 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
         return;  // Nothing fits until an outstanding market completes.
       }
       std::string payload;
-      IpcPutU32(&payload, static_cast<uint32_t>(chosen));
+      ByteWriter(&payload).U32(static_cast<uint32_t>(chosen));
       if (!SendIpcFrame(w.fd, kMsgAssign, payload).ok()) {
         w.channel_open = false;  // Dying worker; the reap path requeues.
         continue;

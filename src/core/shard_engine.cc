@@ -14,7 +14,6 @@
 #include "src/apps/app_profile.h"
 #include "src/common/check.h"
 #include "src/common/task_scheduler.h"
-#include "src/common/thread_pool.h"
 #include "src/core/checkpoint.h"
 #include "src/core/event_log.h"
 #include "src/core/pad_simulation.h"
@@ -106,8 +105,8 @@ double ThreadCpuSeconds() {
 // the stronger ask; 0 in either means "the hardware". Never more workers
 // than markets.
 int ResolveWorkers(const ShardEngineOptions& options, int num_markets) {
-  const int shards = options.shards <= 0 ? ThreadPool::HardwareThreads() : options.shards;
-  const int threads = options.threads <= 0 ? ThreadPool::HardwareThreads() : options.threads;
+  const int shards = options.shards <= 0 ? HardwareThreads() : options.shards;
+  const int threads = options.threads <= 0 ? HardwareThreads() : options.threads;
   return std::max(1, std::min(num_markets, std::max(shards, threads)));
 }
 

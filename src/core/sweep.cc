@@ -1,80 +1,30 @@
 #include "src/core/sweep.h"
 
-#include <cstring>
+#include <algorithm>
+#include <functional>
 
+#include "src/common/bytes.h"
 #include "src/common/check.h"
-#include "src/common/thread_pool.h"
+#include "src/common/task_scheduler.h"
 
 namespace pad {
 namespace {
 
-// FNV-1a, 64-bit.
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+// Runs body(i) once for every i in [0, n) on up to `threads` workers (0 asks
+// the hardware), each starting on its own contiguous run and stealing when
+// idle. The caller slots results by i, so the schedule is unobservable.
+void ForEachJob(size_t n, int threads, const std::function<void(size_t)>& body) {
+  const int64_t jobs = static_cast<int64_t>(n);
+  const int workers = threads <= 0 ? HardwareThreads() : threads;
+  RunTaskQueues(PartitionTasks(jobs, static_cast<int>(std::clamp<int64_t>(jobs, 1, workers))),
+                [&body](int, int64_t i) { body(static_cast<size_t>(i)); });
+}
 
-class Digest {
- public:
-  Digest& Mix(double value) {
-    uint64_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return MixU64(bits);
-  }
-  Digest& Mix(int64_t value) { return MixU64(static_cast<uint64_t>(value)); }
-
-  Digest& Mix(const CategoryEnergy& energy) {
-    return Mix(energy.transfer_j).Mix(energy.tail_j).Mix(energy.bytes).Mix(energy.transfers);
-  }
-  Digest& Mix(const EnergyBreakdown& energy) {
-    for (const CategoryEnergy& category : energy.radio.by_category) {
-      Mix(category);
-    }
-    return Mix(energy.radio.promo_time_s)
-        .Mix(energy.radio.active_time_s)
-        .Mix(energy.radio.tail_time_s)
-        .Mix(energy.local_j);
-  }
-  Digest& Mix(const LedgerTotals& ledger) {
-    return Mix(ledger.sold)
-        .Mix(ledger.billed)
-        .Mix(ledger.violated)
-        .Mix(ledger.excess_displays)
-        .Mix(ledger.displays)
-        .Mix(ledger.billed_revenue)
-        .Mix(ledger.violated_value);
-  }
-  Digest& Mix(const FaultStats& faults) {
-    return Mix(faults.reports_dropped)
-        .Mix(faults.reports_delayed)
-        .Mix(faults.stale_windows)
-        .Mix(faults.fetch_failures)
-        .Mix(faults.fetch_retries)
-        .Mix(faults.bundles_abandoned)
-        .Mix(faults.syncs_missed)
-        .Mix(faults.offline_epochs)
-        .Mix(faults.offline_fetch_misses)
-        .Mix(faults.offline_violations);
-  }
-  Digest& Mix(const ServiceStats& service) {
-    return Mix(service.slots)
-        .Mix(service.served_from_cache)
-        .Mix(service.fallback_fetches)
-        .Mix(service.unfilled)
-        .Mix(service.expired_cache_drops);
-  }
-
-  uint64_t value() const { return hash_; }
-
- private:
-  Digest& MixU64(uint64_t bits) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (bits >> (8 * byte)) & 0xffull;
-      hash_ *= kFnvPrime;
-    }
-    return *this;
-  }
-
-  uint64_t hash_ = kFnvOffset;
-};
+uint64_t DigestOf(const auto& result) {
+  Fnv1a digest;
+  VisitMetrics(result, [&digest](auto field) { digest.Mix(field); });
+  return digest.value();
+}
 
 uint64_t SplitMix64(uint64_t& state) {
   uint64_t z = (state += 0x9e3779b97f4a7c15ull);
@@ -88,10 +38,8 @@ uint64_t SplitMix64(uint64_t& state) {
 std::vector<Comparison> RunComparisonMany(std::span<const PadConfig> configs,
                                           const SweepOptions& options) {
   std::vector<Comparison> results(configs.size());
-  ThreadPool pool(options.threads);
-  pool.ParallelFor(static_cast<int64_t>(configs.size()), [&](int64_t i) {
-    results[static_cast<size_t>(i)] = RunComparison(configs[static_cast<size_t>(i)]);
-  });
+  ForEachJob(configs.size(), options.threads,
+             [&](size_t job) { results[job] = RunComparison(configs[job]); });
   return results;
 }
 
@@ -102,9 +50,7 @@ std::vector<PadRunResult> RunPadMany(std::span<const PadConfig> configs,
   if (event_logs != nullptr) {
     event_logs->assign(configs.size(), EventLog());
   }
-  ThreadPool pool(options.threads);
-  pool.ParallelFor(static_cast<int64_t>(configs.size()), [&](int64_t i) {
-    const size_t job = static_cast<size_t>(i);
+  ForEachJob(configs.size(), options.threads, [&](size_t job) {
     EventLog* log = event_logs != nullptr ? &(*event_logs)[job] : nullptr;
     results[job] = RunPad(configs[job], inputs, log);
   });
@@ -124,34 +70,19 @@ std::vector<PadConfig> ReplicateWithSeeds(const PadConfig& base, int n, uint64_t
   return configs;
 }
 
-uint64_t MetricsDigest(const BaselineResult& result) {
-  Digest digest;
-  digest.Mix(result.energy).Mix(result.ledger).Mix(result.service).Mix(result.scored_days);
-  return digest.value();
-}
+uint64_t MetricsDigest(const BaselineResult& result) { return DigestOf(result); }
 
-uint64_t MetricsDigest(const PadRunResult& result) {
-  Digest digest;
-  digest.Mix(result.energy).Mix(result.ledger).Mix(result.service).Mix(result.scored_days);
-  for (const CalibrationBucket& bucket : result.calibration) {
-    digest.Mix(bucket.planned).Mix(bucket.delivered).Mix(bucket.sum_predicted);
-  }
-  digest.Mix(result.impressions_dispatched).Mix(result.impressions_sold);
-  digest.Mix(result.faults);
-  return digest.value();
-}
+uint64_t MetricsDigest(const PadRunResult& result) { return DigestOf(result); }
 
 uint64_t ComparisonDigest(const Comparison& comparison) {
-  Digest digest;
-  digest.Mix(static_cast<int64_t>(MetricsDigest(comparison.baseline)))
-      .Mix(static_cast<int64_t>(MetricsDigest(comparison.pad)));
-  return digest.value();
+  const uint64_t halves[] = {MetricsDigest(comparison.baseline), MetricsDigest(comparison.pad)};
+  return DigestCombine(halves);
 }
 
 uint64_t DigestCombine(std::span<const uint64_t> digests) {
-  Digest digest;
+  Fnv1a digest;
   for (uint64_t value : digests) {
-    digest.Mix(static_cast<int64_t>(value));
+    digest.MixU64(value);
   }
   return digest.value();
 }

@@ -1,5 +1,6 @@
-// Parallel sweep engine: fans independent simulation runs out across a
-// ThreadPool and returns results in submission order.
+// Parallel sweep engine: fans independent simulation runs out across the
+// task scheduler (src/common/task_scheduler.h) and returns results in
+// submission order.
 //
 // Determinism contract: for a fixed config list, every result (metrics,
 // ledger totals, event-log digest) is bit-identical regardless of the thread

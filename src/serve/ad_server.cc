@@ -299,25 +299,19 @@ void AdServer::ProcessFrames(Connection& connection, bool ignore_caps) {
       return;  // Backpressure: leave the rest framed in the reader.
     }
     const Status framed = connection.reader.Next(&payload, &have);
-    if (!framed.ok()) {
-      // Unframeable stream: answer with one kBadRequest so the client learns
-      // why, then hang up. Nothing after a framing error is trustworthy.
-      WireResponse error;
-      error.status = ResponseStatus::kBadRequest;
-      AppendResponse(connection, error);
-      connection.close_after_flush = true;
-      connection.bad_frames = true;
-      ++stats_.protocol_errors;
+    if (framed.ok() && !have) {
       return;
     }
-    if (!have) {
-      return;
-    }
-    ++connection.rx_frames;
-    const StatusOr<WireRequest> request = DecodeRequestPayload(
-        std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(payload.data()),
-                                 payload.size()));
+    // A failed Next() leaves have == false: the framing error is the verdict.
+    connection.rx_frames += have ? 1 : 0;
+    const StatusOr<WireRequest> request =
+        have ? DecodeRequestPayload(std::span<const uint8_t>(
+                   reinterpret_cast<const uint8_t*>(payload.data()), payload.size()))
+             : StatusOr<WireRequest>(framed);
     if (!request.ok()) {
+      // Unframeable stream or undecodable frame: answer with one kBadRequest
+      // so the client learns why, then hang up. Nothing after a protocol
+      // error is trustworthy.
       WireResponse error;
       error.status = ResponseStatus::kBadRequest;
       AppendResponse(connection, error);

@@ -1,51 +1,29 @@
 #include "src/serve/wire.h"
 
-#include <cmath>
-#include <cstring>
-
 namespace pad {
 namespace {
 
-void PutU32(uint32_t value, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
+size_t ResponsePayloadBytes(const WireResponse& response) {
+  return kResponseHeaderBytes + response.ads.size() * kResponseAdBytes;
+}
+
+void WriteRequest(const WireRequest& request, ByteWriter& out) {
+  out.U8(kWireVersion)
+      .U8(kFrameRequest)
+      .U64(request.client_id)
+      .U32(request.slot_count)
+      .F64(request.deadline_s);
+}
+
+void WriteResponse(const WireResponse& response, ByteWriter& out) {
+  out.U8(kWireVersion)
+      .U8(kFrameResponse)
+      .U8(static_cast<uint8_t>(response.status))
+      .U8(static_cast<uint8_t>(response.decision))
+      .U32(static_cast<uint32_t>(response.ads.size()));
+  for (const WireAd& ad : response.ads) {
+    out.I64(ad.campaign_id).F64(ad.price_usd);
   }
-}
-
-void PutU64(uint64_t value, std::string* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xffu));
-  }
-}
-
-void PutDouble(double value, std::string* out) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  PutU64(bits, out);
-}
-
-uint32_t GetU32(std::span<const uint8_t> bytes, size_t offset) {
-  uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) | bytes[offset + static_cast<size_t>(i)];
-  }
-  return value;
-}
-
-uint64_t GetU64(std::span<const uint8_t> bytes, size_t offset) {
-  uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) {
-    value = (value << 8) | bytes[offset + static_cast<size_t>(i)];
-  }
-  return value;
-}
-
-double GetDouble(std::span<const uint8_t> bytes, size_t offset) {
-  const uint64_t bits = GetU64(bytes, offset);
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
 }
 
 Status CheckHeader(std::span<const uint8_t> payload, uint8_t expected_type) {
@@ -68,44 +46,31 @@ Status CheckHeader(std::span<const uint8_t> payload, uint8_t expected_type) {
 std::string EncodeRequestPayload(const WireRequest& request) {
   std::string out;
   out.reserve(kRequestPayloadBytes);
-  out.push_back(static_cast<char>(kWireVersion));
-  out.push_back(static_cast<char>(kFrameRequest));
-  PutU64(request.client_id, &out);
-  PutU32(request.slot_count, &out);
-  PutDouble(request.deadline_s, &out);
+  ByteWriter writer(&out);
+  WriteRequest(request, writer);
   return out;
 }
 
 std::string EncodeResponsePayload(const WireResponse& response) {
   std::string out;
-  out.reserve(kResponseHeaderBytes + response.ads.size() * kResponseAdBytes);
-  out.push_back(static_cast<char>(kWireVersion));
-  out.push_back(static_cast<char>(kFrameResponse));
-  out.push_back(static_cast<char>(response.status));
-  out.push_back(static_cast<char>(response.decision));
-  PutU32(static_cast<uint32_t>(response.ads.size()), &out);
-  for (const WireAd& ad : response.ads) {
-    PutU64(static_cast<uint64_t>(ad.campaign_id), &out);
-    PutDouble(ad.price_usd, &out);
-  }
+  out.reserve(ResponsePayloadBytes(response));
+  ByteWriter writer(&out);
+  WriteResponse(response, writer);
   return out;
 }
 
-namespace {
-
-void AppendFrame(const std::string& payload, std::string* out) {
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  out->append(payload);
-}
-
-}  // namespace
-
+// The frame encoders write the length prefix (known from the message shape)
+// and then the payload straight into `out`: no temporary payload string.
 void AppendRequestFrame(const WireRequest& request, std::string* out) {
-  AppendFrame(EncodeRequestPayload(request), out);
+  ByteWriter writer(out);
+  writer.U32(static_cast<uint32_t>(kRequestPayloadBytes));
+  WriteRequest(request, writer);
 }
 
 void AppendResponseFrame(const WireResponse& response, std::string* out) {
-  AppendFrame(EncodeResponsePayload(response), out);
+  ByteWriter writer(out);
+  writer.U32(static_cast<uint32_t>(ResponsePayloadBytes(response)));
+  WriteResponse(response, writer);
 }
 
 StatusOr<WireRequest> DecodeRequestPayload(std::span<const uint8_t> payload) {
@@ -114,10 +79,11 @@ StatusOr<WireRequest> DecodeRequestPayload(std::span<const uint8_t> payload) {
     return Status::InvalidArgument("request payload is " + std::to_string(payload.size()) +
                                    " bytes, expected " + std::to_string(kRequestPayloadBytes));
   }
+  ByteReader in(payload.subspan(2));
   WireRequest request;
-  request.client_id = GetU64(payload, 2);
-  request.slot_count = GetU32(payload, 10);
-  request.deadline_s = GetDouble(payload, 14);
+  request.client_id = in.U64();
+  request.slot_count = in.U32();
+  request.deadline_s = in.F64();
   return request;
 }
 
@@ -127,15 +93,16 @@ StatusOr<WireResponse> DecodeResponsePayload(std::span<const uint8_t> payload) {
     return Status::InvalidArgument("response payload truncated at " +
                                    std::to_string(payload.size()) + " bytes");
   }
-  const uint8_t status = payload[2];
+  ByteReader in(payload.subspan(2));
+  const uint8_t status = in.U8();
   if (status > static_cast<uint8_t>(ResponseStatus::kUnknownClient)) {
     return Status::InvalidArgument("unknown response status " + std::to_string(status));
   }
-  const uint8_t decision = payload[3];
+  const uint8_t decision = in.U8();
   if (decision > static_cast<uint8_t>(DecisionKind::kRealtime)) {
     return Status::InvalidArgument("unknown decision kind " + std::to_string(decision));
   }
-  const uint32_t ad_count = GetU32(payload, 4);
+  const uint32_t ad_count = in.U32();
   const size_t expected = kResponseHeaderBytes + static_cast<size_t>(ad_count) * kResponseAdBytes;
   if (payload.size() != expected) {
     return Status::InvalidArgument("response declares " + std::to_string(ad_count) +
@@ -145,72 +112,12 @@ StatusOr<WireResponse> DecodeResponsePayload(std::span<const uint8_t> payload) {
   WireResponse response;
   response.status = static_cast<ResponseStatus>(status);
   response.decision = static_cast<DecisionKind>(decision);
-  response.ads.reserve(ad_count);
-  for (uint32_t i = 0; i < ad_count; ++i) {
-    const size_t offset = kResponseHeaderBytes + static_cast<size_t>(i) * kResponseAdBytes;
-    WireAd ad;
-    ad.campaign_id = static_cast<int64_t>(GetU64(payload, offset));
-    ad.price_usd = GetDouble(payload, offset + 8);
-    response.ads.push_back(ad);
+  response.ads.resize(ad_count);
+  for (WireAd& ad : response.ads) {
+    ad.campaign_id = in.I64();
+    ad.price_usd = in.F64();
   }
   return response;
-}
-
-Status FrameReader::Append(std::span<const uint8_t> data) {
-  if (!poison_.ok()) {
-    return poison_;
-  }
-  buffer_.append(reinterpret_cast<const char*>(data.data()), data.size());
-  return Status::Ok();
-}
-
-bool FrameReader::HasFrame() const {
-  if (!poison_.ok()) {
-    return true;
-  }
-  const size_t available = buffer_.size() - consumed_;
-  if (available < kFrameHeaderBytes) {
-    return false;
-  }
-  const auto* base = reinterpret_cast<const uint8_t*>(buffer_.data()) + consumed_;
-  const uint32_t length = GetU32(std::span<const uint8_t>(base, kFrameHeaderBytes), 0);
-  if (length > max_payload_) {
-    return true;  // Next() will poison and report; that counts as progress.
-  }
-  return available >= kFrameHeaderBytes + length;
-}
-
-Status FrameReader::Next(std::string* payload, bool* have) {
-  *have = false;
-  payload->clear();
-  if (!poison_.ok()) {
-    return poison_;
-  }
-  // Reclaim consumed prefix lazily, only when it dominates the buffer, so a
-  // burst of pipelined frames does not memmove per frame.
-  if (consumed_ > 0 && consumed_ * 2 >= buffer_.size()) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
-  }
-  const size_t available = buffer_.size() - consumed_;
-  if (available < kFrameHeaderBytes) {
-    return Status::Ok();
-  }
-  const auto* base = reinterpret_cast<const uint8_t*>(buffer_.data()) + consumed_;
-  const uint32_t length = GetU32(std::span<const uint8_t>(base, kFrameHeaderBytes), 0);
-  if (length > max_payload_) {
-    poison_ = Status::InvalidArgument("frame payload of " + std::to_string(length) +
-                                      " bytes exceeds the " + std::to_string(max_payload_) +
-                                      "-byte limit");
-    return poison_;
-  }
-  if (available < kFrameHeaderBytes + length) {
-    return Status::Ok();
-  }
-  payload->assign(buffer_, consumed_ + kFrameHeaderBytes, length);
-  consumed_ += kFrameHeaderBytes + length;
-  *have = true;
-  return Status::Ok();
 }
 
 }  // namespace pad

@@ -1,7 +1,9 @@
-// The coordinator<->worker framing layer (src/common/ipc.h): packers and
-// strict parser round-trip bit-exactly, frames survive arbitrary kernel
-// chunking, and hostile inputs (oversized lengths, trailing garbage, a dead
-// peer) surface as Status — never an abort, never a desync.
+// The coordinator<->worker framing layer (src/common/ipc.h): payloads packed
+// with the shared ByteWriter and parsed with the strict ByteReader
+// (src/common/bytes.h) round-trip bit-exactly, frames survive arbitrary
+// kernel chunking, and hostile inputs (oversized lengths, trailing garbage,
+// torn frames, a dead peer, any flipped bit) surface as Status — never an
+// abort, never a desync.
 #include "src/common/ipc.h"
 
 #include <gtest/gtest.h>
@@ -18,52 +20,56 @@ namespace {
 
 TEST(IpcPackingTest, RoundTripsEveryFieldType) {
   std::string payload;
-  IpcPutU32(&payload, 0xdeadbeefu);
-  IpcPutU64(&payload, 0x0123456789abcdefull);
-  IpcPutI64(&payload, -42);
-  IpcPutF64(&payload, 3.5);
-  IpcPutF64(&payload, -0.0);
-  IpcPutString(&payload, "diag\0nostic");  // Truncates at NUL via string_view ctor.
-  IpcPutString(&payload, "");
+  ByteWriter(&payload)
+      .U8(0xa5)
+      .U32(0xdeadbeefu)
+      .U64(0x0123456789abcdefull)
+      .I64(-42)
+      .F64(3.5)
+      .F64(-0.0)
+      .String("diag\0nostic")  // Truncates at NUL via string_view ctor.
+      .String("");
 
-  IpcParser parser(payload);
-  EXPECT_EQ(0xdeadbeefu, parser.GetU32());
-  EXPECT_EQ(0x0123456789abcdefull, parser.GetU64());
-  EXPECT_EQ(-42, parser.GetI64());
-  EXPECT_EQ(3.5, parser.GetF64());
-  const double negative_zero = parser.GetF64();
+  ByteReader parser(payload);
+  EXPECT_EQ(0xa5, parser.U8());
+  EXPECT_EQ(0xdeadbeefu, parser.U32());
+  EXPECT_EQ(0x0123456789abcdefull, parser.U64());
+  EXPECT_EQ(-42, parser.I64());
+  EXPECT_EQ(3.5, parser.F64());
+  const double negative_zero = parser.F64();
   EXPECT_EQ(0.0, negative_zero);
   EXPECT_TRUE(std::signbit(negative_zero)) << "doubles must round-trip bit-exactly";
-  EXPECT_EQ("diag", parser.GetString());
-  EXPECT_EQ("", parser.GetString());
+  EXPECT_EQ("diag", parser.String());
+  EXPECT_EQ("", parser.String());
   EXPECT_TRUE(parser.Finished());
 }
 
 TEST(IpcPackingTest, ShortPayloadFailsInsteadOfReadingGarbage) {
   std::string payload;
-  IpcPutU32(&payload, 7);
-  IpcParser parser(payload);
-  EXPECT_EQ(7u, parser.GetU32());
-  EXPECT_EQ(0u, parser.GetU64());  // Out of bounds: zero, and ok() flips.
+  ByteWriter(&payload).U32(7);
+  ByteReader parser(payload);
+  EXPECT_EQ(7u, parser.U32());
+  EXPECT_EQ(0u, parser.U64());  // Out of bounds: zero, and ok() flips.
   EXPECT_FALSE(parser.ok());
   EXPECT_FALSE(parser.Finished());
+  EXPECT_EQ(0u, parser.U8()) << "a failed reader stays failed";
 }
 
 TEST(IpcPackingTest, TrailingGarbageIsNotFinished) {
   std::string payload;
-  IpcPutU32(&payload, 7);
+  ByteWriter(&payload).U32(7);
   payload.push_back('x');
-  IpcParser parser(payload);
-  EXPECT_EQ(7u, parser.GetU32());
+  ByteReader parser(payload);
+  EXPECT_EQ(7u, parser.U32());
   EXPECT_TRUE(parser.ok());
   EXPECT_FALSE(parser.Finished()) << "undrained bytes mean a layout mismatch";
 }
 
 TEST(IpcPackingTest, StringLengthBeyondPayloadFails) {
   std::string payload;
-  IpcPutU32(&payload, 1000);  // Claims 1000 bytes; none follow.
-  IpcParser parser(payload);
-  EXPECT_EQ("", parser.GetString());
+  ByteWriter(&payload).U32(1000);  // Claims 1000 bytes; none follow.
+  ByteReader parser(payload);
+  EXPECT_EQ("", parser.String());
   EXPECT_FALSE(parser.ok());
 }
 
@@ -71,8 +77,7 @@ TEST(IpcFrameTest, SendRecvRoundTripsOverSocketpair) {
   StatusOr<IpcSocketPair> pair = CreateIpcSocketPair();
   ASSERT_TRUE(pair.ok()) << pair.status().ToString();
   std::string payload;
-  IpcPutU32(&payload, 3);
-  IpcPutU64(&payload, 0xfeedfacecafef00dull);
+  ByteWriter(&payload).U32(3).U64(0xfeedfacecafef00dull);
   ASSERT_TRUE(SendIpcFrame(pair->coordinator_fd, 7, payload).ok());
 
   StatusOr<IpcMessage> message = RecvIpcFrame(pair->worker_fd);
@@ -114,7 +119,7 @@ TEST(IpcFrameTest, OversizedLengthIsDataLoss) {
   ASSERT_TRUE(pair.ok());
   // Hand-build a frame whose length word claims far more than max_payload.
   std::string hostile;
-  IpcPutU32(&hostile, std::numeric_limits<uint32_t>::max());
+  ByteWriter(&hostile).U32(std::numeric_limits<uint32_t>::max());
   ASSERT_EQ(4, write(pair->coordinator_fd, hostile.data(), hostile.size()));
 
   StatusOr<IpcMessage> message = RecvIpcFrame(pair->worker_fd);
@@ -127,7 +132,7 @@ TEST(IpcFrameTest, OversizedLengthIsDataLoss) {
   pair = CreateIpcSocketPair();
   ASSERT_TRUE(pair.ok());
   std::string zero;
-  IpcPutU32(&zero, 0);
+  ByteWriter(&zero).U32(0);
   ASSERT_EQ(4, write(pair->coordinator_fd, zero.data(), zero.size()));
   message = RecvIpcFrame(pair->worker_fd);
   ASSERT_FALSE(message.ok());
@@ -146,12 +151,9 @@ TEST(IpcChannelReaderTest, ReassemblesFramesAcrossArbitraryChunking) {
   std::string wire;
   for (uint8_t type = 1; type <= 3; ++type) {
     std::string payload;
-    IpcPutU32(&payload, type * 100u);
-    std::string frame;
-    IpcPutU32(&frame, static_cast<uint32_t>(1 + payload.size()));
-    frame.push_back(static_cast<char>(type));
-    frame.append(payload);
-    wire += frame;
+    ByteWriter(&payload).U32(type * 100u);
+    ByteWriter(&wire).U32(static_cast<uint32_t>(1 + payload.size())).U8(type);
+    wire += payload;
   }
 
   IpcChannelReader reader;
@@ -172,8 +174,8 @@ TEST(IpcChannelReaderTest, ReassemblesFramesAcrossArbitraryChunking) {
   ASSERT_EQ(3u, received.size());
   for (uint8_t type = 1; type <= 3; ++type) {
     EXPECT_EQ(type, received[type - 1].type);
-    IpcParser parser(received[type - 1].payload);
-    EXPECT_EQ(type * 100u, parser.GetU32());
+    ByteReader parser(received[type - 1].payload);
+    EXPECT_EQ(type * 100u, parser.U32());
     EXPECT_TRUE(parser.Finished());
   }
   close(pair->coordinator_fd);
@@ -211,7 +213,7 @@ TEST(IpcChannelReaderTest, OversizedLengthPoisonsPermanently) {
   ASSERT_TRUE(pair.ok());
   ASSERT_TRUE(SetNonBlocking(pair->coordinator_fd).ok());
   std::string hostile;
-  IpcPutU32(&hostile, 1u << 30);
+  ByteWriter(&hostile).U32(1u << 30);
   ASSERT_EQ(4, write(pair->worker_fd, hostile.data(), hostile.size()));
   ASSERT_TRUE(reader.Pump(pair->coordinator_fd).ok());
 
@@ -225,6 +227,164 @@ TEST(IpcChannelReaderTest, OversizedLengthPoisonsPermanently) {
   EXPECT_EQ(StatusCode::kDataLoss, reader.Pump(pair->coordinator_fd).code());
   close(pair->coordinator_fd);
   close(pair->worker_fd);
+}
+
+TEST(IpcFrameTest, TornFrameIsDataLossNotCleanClose) {
+  std::string frame;
+  ByteWriter(&frame).U32(9).U8(3).U64(0x1122334455667788ull);  // 13 bytes.
+
+  // EOF after 2 of the 4 header bytes, then after the header and half the
+  // body: the peer started a frame it never finished.
+  for (const size_t cut : {size_t{2}, kFrameHeaderBytes + 4}) {
+    StatusOr<IpcSocketPair> pair = CreateIpcSocketPair();
+    ASSERT_TRUE(pair.ok());
+    ASSERT_EQ(static_cast<ssize_t>(cut), write(pair->coordinator_fd, frame.data(), cut));
+    close(pair->coordinator_fd);
+    StatusOr<IpcMessage> message = RecvIpcFrame(pair->worker_fd);
+    ASSERT_FALSE(message.ok()) << "cut=" << cut;
+    EXPECT_EQ(StatusCode::kDataLoss, message.status().code()) << message.status().ToString();
+    EXPECT_NE(std::string::npos,
+              message.status().message().find("got " + std::to_string(cut) + " of"))
+        << message.status().ToString();
+    close(pair->worker_fd);
+  }
+
+  // EOF at a frame boundary is the clean close.
+  StatusOr<IpcSocketPair> pair = CreateIpcSocketPair();
+  ASSERT_TRUE(pair.ok());
+  ASSERT_EQ(static_cast<ssize_t>(frame.size()),
+            write(pair->coordinator_fd, frame.data(), frame.size()));
+  close(pair->coordinator_fd);
+  StatusOr<IpcMessage> message = RecvIpcFrame(pair->worker_fd);
+  ASSERT_TRUE(message.ok()) << message.status().ToString();
+  EXPECT_EQ(3, message->type);
+  message = RecvIpcFrame(pair->worker_fd);
+  ASSERT_FALSE(message.ok());
+  EXPECT_EQ(StatusCode::kUnavailable, message.status().code());
+  close(pair->worker_fd);
+}
+
+// Parses one message with the multi-process engine's layouts (HELLO [u32],
+// ASSIGN [u32], DONE [u32][u64][f64], ERROR [u32][string]). Returns whether
+// the payload matched its type's layout exactly.
+bool ParseEngineMessage(const IpcMessage& message) {
+  ByteReader in(message.payload);
+  switch (message.type) {
+    case 1:
+    case 2:
+      in.U32();
+      break;
+    case 3:
+      in.U32();
+      in.U64();
+      in.F64();
+      break;
+    case 4:
+      in.U32();
+      in.String();
+      break;
+    default:
+      return false;
+  }
+  return in.Finished();
+}
+
+// The flip-every-bit corpus over an IPC byte stream, through the path the
+// coordinator's input takes (IpcChannelReader + ByteReader). Every flip must
+// leave the channel in one of three states — frames popped, sticky
+// kDataLoss, or a frame still pending — and never crash or read out of
+// bounds (the sanitizer builds run this too).
+TEST(IpcMalformedTest, EverySingleBitFlipOfAnEngineStreamIsContained) {
+  std::string stream;
+  const auto append = [&stream](uint8_t type, const std::string& payload) {
+    ByteWriter(&stream).U32(static_cast<uint32_t>(1 + payload.size())).U8(type);
+    stream += payload;
+  };
+  std::string payload;
+  ByteWriter(&payload).U32(5);
+  append(1, payload);  // HELLO from worker 5.
+  payload.clear();
+  ByteWriter(&payload).U32(17);
+  append(2, payload);  // ASSIGN market 17.
+  payload.clear();
+  ByteWriter(&payload).U32(17).U64(0xfeedfacecafef00dull).F64(0.125);
+  append(3, payload);  // DONE.
+  payload.clear();
+  ByteWriter(&payload).U32(static_cast<uint32_t>(StatusCode::kDataLoss)).String("torn");
+  append(4, payload);  // ERROR.
+
+  const auto drain = [](IpcChannelReader& reader, std::vector<IpcMessage>* out) {
+    while (true) {
+      IpcMessage message;
+      bool have = false;
+      const Status status = reader.Next(&message, &have);
+      if (!status.ok()) {
+        return status;
+      }
+      if (!have) {
+        return Status::Ok();
+      }
+      out->push_back(message);
+    }
+  };
+
+  // The unflipped stream yields all four messages, each matching its layout.
+  {
+    StatusOr<IpcSocketPair> pair = CreateIpcSocketPair();
+    ASSERT_TRUE(pair.ok());
+    ASSERT_TRUE(SetNonBlocking(pair->coordinator_fd).ok());
+    ASSERT_EQ(static_cast<ssize_t>(stream.size()),
+              write(pair->worker_fd, stream.data(), stream.size()));
+    IpcChannelReader reader;
+    ASSERT_TRUE(reader.Pump(pair->coordinator_fd).ok());
+    std::vector<IpcMessage> messages;
+    ASSERT_TRUE(drain(reader, &messages).ok());
+    ASSERT_EQ(4u, messages.size());
+    for (const IpcMessage& message : messages) {
+      EXPECT_TRUE(ParseEngineMessage(message)) << static_cast<int>(message.type);
+    }
+    close(pair->coordinator_fd);
+    close(pair->worker_fd);
+  }
+
+  for (size_t pos = 0; pos < stream.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = stream;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << bit));
+      StatusOr<IpcSocketPair> pair = CreateIpcSocketPair();
+      ASSERT_TRUE(pair.ok());
+      ASSERT_TRUE(SetNonBlocking(pair->coordinator_fd).ok());
+      ASSERT_EQ(static_cast<ssize_t>(flipped.size()),
+                write(pair->worker_fd, flipped.data(), flipped.size()));
+      IpcChannelReader reader;
+      ASSERT_TRUE(reader.Pump(pair->coordinator_fd).ok());
+      std::vector<IpcMessage> messages;
+      const Status status = drain(reader, &messages);
+      for (const IpcMessage& message : messages) {
+        (void)ParseEngineMessage(message);  // Must not crash; may mismatch.
+      }
+      if (!status.ok()) {
+        EXPECT_EQ(StatusCode::kDataLoss, status.code()) << "pos=" << pos << " bit=" << bit;
+        // Sticky: neither popping nor pumping revives the channel.
+        IpcMessage message;
+        bool have = true;
+        EXPECT_EQ(StatusCode::kDataLoss, reader.Next(&message, &have).code());
+        EXPECT_FALSE(have);
+        EXPECT_EQ(StatusCode::kDataLoss, reader.Pump(pair->coordinator_fd).code());
+      } else if (messages.size() < 4) {
+        // A flipped length swallowed later frames: the tail is a pending
+        // partial frame, which the peer's close turns into EOF.
+        close(pair->worker_fd);
+        pair->worker_fd = -1;
+        EXPECT_EQ(StatusCode::kUnavailable, reader.Pump(pair->coordinator_fd).code())
+            << "pos=" << pos << " bit=" << bit;
+      }
+      close(pair->coordinator_fd);
+      if (pair->worker_fd >= 0) {
+        close(pair->worker_fd);
+      }
+    }
+  }
 }
 
 }  // namespace

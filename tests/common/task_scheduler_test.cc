@@ -239,5 +239,60 @@ TEST(TaskSchedulerTest, FirstExceptionRethrownAfterFullDrain) {
   EXPECT_EQ(log.Tasks(), AllTasks(10));
 }
 
+TEST(TaskSchedulerTest, HardwareThreadsIsPositive) { EXPECT_GE(HardwareThreads(), 1); }
+
+// ---------------------------------------------------------------------------
+// The parallel-for shape the sweep engine and adpad_sim's compare split use:
+// RunTaskQueues(PartitionTasks(n, workers)) over job indices [0, n).
+
+TEST(PartitionTasksTest, RunsEveryIndexExactlyOnce) {
+  for (int workers : {1, 2, 4, 8}) {
+    constexpr int64_t kJobs = 100;
+    std::vector<std::atomic<int>> hits(kJobs);
+    RunTaskQueues(PartitionTasks(kJobs, workers),
+                  [&](int, int64_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
+    for (int64_t i = 0; i < kJobs; ++i) {
+      EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "workers=" << workers << " i=" << i;
+    }
+  }
+}
+
+TEST(PartitionTasksTest, EmptyBatchIsANoOp) {
+  bool ran = false;
+  const TaskSchedulerStats stats =
+      RunTaskQueues(PartitionTasks(0, 4), [&](int, int64_t) { ran = true; });
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(stats.executed, 0);
+}
+
+TEST(PartitionTasksTest, MoreWorkersThanJobs) {
+  std::vector<std::atomic<int>> hits(3);
+  RunTaskQueues(PartitionTasks(3, 8),
+                [&](int, int64_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
+  for (const auto& hit : hits) {
+    EXPECT_EQ(hit.load(), 1);
+  }
+}
+
+TEST(PartitionTasksTest, PropagatesTheFirstException) {
+  std::atomic<int64_t> completed{0};
+  EXPECT_THROW(RunTaskQueues(PartitionTasks(20, 4),
+                             [&](int, int64_t i) {
+                               if (i == 7) {
+                                 throw std::runtime_error("job 7 failed");
+                               }
+                               completed.fetch_add(1);
+                             }),
+               std::runtime_error);
+  // The batch still drains: every non-throwing job ran.
+  EXPECT_EQ(completed.load(), 19);
+}
+
+TEST(PartitionTasksTest, SingleWorkerRunsInlineInOrder) {
+  std::vector<int64_t> order;
+  RunTaskQueues(PartitionTasks(5, 1), [&](int, int64_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+}
+
 }  // namespace
 }  // namespace pad

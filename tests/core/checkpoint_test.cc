@@ -449,5 +449,36 @@ TEST(CheckpointTest, UnsupportedSchemaVersionIsARefusalNotACrash) {
   EXPECT_EQ(StatusCode::kFailedPrecondition, read.status().code());
 }
 
+// Format stability: journals already on disk must keep resuming, so the
+// fingerprint of a known config and the bytes of a known journal are pinned.
+// A changed constant means every existing journal is now refused or
+// misread. The test-local FNV-1a keeps the oracle independent of the
+// program's hasher.
+uint64_t TestFnv1a(const std::string& bytes) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const char byte : bytes) {
+    hash = (hash ^ static_cast<uint8_t>(byte)) * 1099511628211ull;
+  }
+  return hash;
+}
+
+TEST(CheckpointFormatTest, QuickConfigFingerprintIsPinned) {
+  EXPECT_EQ(0x495b6f3f2b4576b5ull, ConfigFingerprint(QuickConfig()));
+}
+
+TEST(CheckpointFormatTest, JournalBytesArePinnedAndResume) {
+  const std::string path = TempPath("ckpt_pinned.ckpt");
+  const std::string bytes = WriteTestJournal(path, 2);
+  EXPECT_EQ(2029u, bytes.size());
+  EXPECT_EQ(0x1af623ed62cc37c8ull, TestFnv1a(bytes));
+
+  const StatusOr<CheckpointContents> read = ReadCheckpoint(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_TRUE(read->has_header);
+  EXPECT_FALSE(read->truncated());
+  ASSERT_EQ(2u, read->markets.size());
+  EXPECT_EQ(TestRecord(1).pad_digest, read->markets[1].pad_digest);
+}
+
 }  // namespace
 }  // namespace pad

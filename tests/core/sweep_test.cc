@@ -1,4 +1,4 @@
-// Unit tests for the ThreadPool and the parallel sweep engine.
+// Unit tests for the parallel sweep engine.
 //
 // The serial-vs-parallel *equivalence* guarantee is exercised here at unit
 // scale (a handful of tiny runs) and at system scale in
@@ -7,11 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <stdexcept>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/common/units.h"
 
 namespace pad {
@@ -22,75 +19,6 @@ PadConfig TinyConfig(int num_users) {
   config.population.num_users = num_users;
   config.population.horizon_s = 9.0 * kDay;
   return config;
-}
-
-TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::HardwareThreads(), 1);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsAsksHardware) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), ThreadPool::HardwareThreads());
-}
-
-TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  for (int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    constexpr int64_t kJobs = 100;
-    std::vector<std::atomic<int>> hits(kJobs);
-    pool.ParallelFor(kJobs, [&](int64_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
-    for (int64_t i = 0; i < kJobs; ++i) {
-      EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "threads=" << threads << " i=" << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, EmptyBatchIsANoOp) {
-  ThreadPool pool(4);
-  bool ran = false;
-  pool.ParallelFor(0, [&](int64_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPoolTest, MoreThreadsThanJobs) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  pool.ParallelFor(3, [&](int64_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
-  for (const auto& hit : hits) {
-    EXPECT_EQ(hit.load(), 1);
-  }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossBatches) {
-  ThreadPool pool(4);
-  std::atomic<int64_t> total{0};
-  for (int batch = 0; batch < 10; ++batch) {
-    pool.ParallelFor(17, [&](int64_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 170);
-}
-
-TEST(ThreadPoolTest, PropagatesTheFirstException) {
-  ThreadPool pool(4);
-  std::atomic<int64_t> completed{0};
-  EXPECT_THROW(
-      pool.ParallelFor(20,
-                       [&](int64_t i) {
-                         if (i == 7) {
-                           throw std::runtime_error("job 7 failed");
-                         }
-                         completed.fetch_add(1);
-                       }),
-      std::runtime_error);
-  // The batch still drains: every non-throwing job ran.
-  EXPECT_EQ(completed.load(), 19);
-}
-
-TEST(ThreadPoolTest, SingleThreadRunsInlineInOrder) {
-  ThreadPool pool(1);
-  std::vector<int64_t> order;
-  pool.ParallelFor(5, [&](int64_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(SweepTest, ResultsComeBackInSubmissionOrder) {

@@ -86,7 +86,7 @@
 #include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/table.h"
-#include "src/common/thread_pool.h"
+#include "src/common/task_scheduler.h"
 #include "src/core/multiproc_engine.h"
 #include "src/core/pad_simulation.h"
 #include "src/core/shard_engine.h"
@@ -460,9 +460,8 @@ int RunTool(const Options& options) {
   EventLog* pad_log = events_out.empty() ? nullptr : &event_log;
   if (run_baseline && run_pad && threads != 1) {
     // The two halves of a comparison share only the read-only inputs, so
-    // they are a 2-job batch for the pool.
-    ThreadPool pool(2);
-    pool.ParallelFor(2, [&](int64_t i) {
+    // they are two tasks for two workers.
+    RunTaskQueues(PartitionTasks(2, 2), [&](int, int64_t i) {
       if (i == 0) {
         baseline = RunBaseline(config, inputs);
       } else {

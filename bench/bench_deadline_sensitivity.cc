@@ -42,8 +42,11 @@ void Run(int num_users, const SweepOptions& sweep, bench::BenchJson& json) {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "deadline_sensitivity");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 250), pad::bench::SweepOptionsFromArgv(argc, argv),
-           json);
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  const int users = pad::bench::Users(args, 250);
+  const pad::SweepOptions sweep{.threads = args.GetInt("threads", 1)};
+  pad::bench::BenchJson json(args.GetString("json", ""), "deadline_sensitivity");
+  pad::bench::CheckArgs(args);
+  pad::Run(users, sweep, json);
   return json.Flush() ? 0 : 1;
 }

@@ -8,14 +8,13 @@
 // an "optimization" that drifts a single metric bit or reorders one event
 // fails the digest rows before anyone has to squint at throughput noise.
 //
-//   $ bench_hot_path --json BENCH_hot_path.json
-//   $ bench_hot_path --users 20000 --market_users 2000 --threads 2
+//   $ bench_hot_path json=BENCH_hot_path.json
+//   $ bench_hot_path users=20000 market_users=2000 threads=2
 //
 // The default scale (2000 users, 9 days, 500-user markets) matches the CI
 // perf-smoke row of bench_population_scale, small enough to finish in
 // seconds on one core.
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -26,40 +25,12 @@ namespace pad {
 namespace {
 
 struct HotPathOptions {
-  int64_t users = 2000;
-  int64_t market_users = 500;
-  int threads = 1;
-  double days = 9.0;  // 7 warmup + 2 scored.
-  int repeats = 1;    // Throughput reported from the fastest repeat.
+  int64_t users;
+  int64_t market_users;
+  int threads;
+  double days;
+  int repeats;  // Throughput reported from the fastest repeat.
 };
-
-HotPathOptions OptionsFromArgv(int argc, char** argv) {
-  HotPathOptions options;
-  for (int i = 1; i < argc; ++i) {
-    auto int_flag = [&](const char* name, int64_t* out) {
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-        *out = std::atoll(argv[i + 1]);
-      }
-    };
-    int_flag("--users", &options.users);
-    int_flag("--market_users", &options.market_users);
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.threads = std::atoi(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-      options.days = std::atof(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
-      options.repeats = std::atoi(argv[i + 1]);
-    }
-  }
-  return options;
-}
-
-// Digest halves as doubles: every uint32 is exactly representable, so the
-// JSON round-trip and the compare are bit-precise.
-double Hi(uint64_t digest) { return static_cast<double>(digest >> 32); }
-double Lo(uint64_t digest) { return static_cast<double>(digest & 0xffffffffull); }
 
 int Run(const HotPathOptions& hot, bench::BenchJson& json) {
   PadConfig config = bench::StandardConfig(static_cast<int>(hot.users));
@@ -103,20 +74,20 @@ int Run(const HotPathOptions& hot, bench::BenchJson& json) {
   table.AddRow({"sessions", std::to_string(result.total_sessions)});
   table.AddRow({"wall time", FormatDouble(best_wall_s, 2) + " s"});
   table.AddRow({"throughput", FormatDouble(users_per_s, 1) + " users/s"});
-  table.AddRow({"pad digest", FormatDouble(Hi(result.combined_pad_digest), 0) + " / " +
-                                  FormatDouble(Lo(result.combined_pad_digest), 0)});
-  table.AddRow({"event digest", FormatDouble(Hi(result.combined_event_digest), 0) + " / " +
-                                    FormatDouble(Lo(result.combined_event_digest), 0)});
+  table.AddRow({"pad digest", FormatDouble(bench::Hi(result.combined_pad_digest), 0) + " / " +
+                                  FormatDouble(bench::Lo(result.combined_pad_digest), 0)});
+  table.AddRow({"event digest", FormatDouble(bench::Hi(result.combined_event_digest), 0) + " / " +
+                                    FormatDouble(bench::Lo(result.combined_event_digest), 0)});
   table.Print(std::cout);
 
   json.Add("users_per_sec", users_per_s, "users/s", label);
   json.Add("sessions", static_cast<double>(result.total_sessions), "count", label);
-  json.Add("pad_digest_hi", Hi(result.combined_pad_digest), "u32", label);
-  json.Add("pad_digest_lo", Lo(result.combined_pad_digest), "u32", label);
-  json.Add("baseline_digest_hi", Hi(result.combined_baseline_digest), "u32", label);
-  json.Add("baseline_digest_lo", Lo(result.combined_baseline_digest), "u32", label);
-  json.Add("event_digest_hi", Hi(result.combined_event_digest), "u32", label);
-  json.Add("event_digest_lo", Lo(result.combined_event_digest), "u32", label);
+  json.Add("pad_digest_hi", bench::Hi(result.combined_pad_digest), "u32", label);
+  json.Add("pad_digest_lo", bench::Lo(result.combined_pad_digest), "u32", label);
+  json.Add("baseline_digest_hi", bench::Hi(result.combined_baseline_digest), "u32", label);
+  json.Add("baseline_digest_lo", bench::Lo(result.combined_baseline_digest), "u32", label);
+  json.Add("event_digest_hi", bench::Hi(result.combined_event_digest), "u32", label);
+  json.Add("event_digest_lo", bench::Lo(result.combined_event_digest), "u32", label);
   return 0;
 }
 
@@ -124,8 +95,16 @@ int Run(const HotPathOptions& hot, bench::BenchJson& json) {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  const pad::HotPathOptions options = pad::OptionsFromArgv(argc, argv);
-  pad::bench::BenchJson json(argc, argv, "hot_path");
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  const pad::HotPathOptions options{
+      .users = pad::bench::Users(args, 2000),
+      .market_users = args.GetInt("market_users", 500),
+      .threads = args.GetInt("threads", 1),
+      .days = args.GetDouble("days", 9.0),  // 7 warmup + 2 scored.
+      .repeats = args.GetInt("repeats", 1),
+  };
+  pad::bench::BenchJson json(args.GetString("json", ""), "hot_path");
+  pad::bench::CheckArgs(args);
   const int status = pad::Run(options, json);
   if (status != 0) {
     return status;

@@ -177,25 +177,12 @@ class JsonCollector : public benchmark::ConsoleReporter {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "micro");
-  // Hide --json from google-benchmark's flag parser.
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      ++i;
-      continue;
-    }
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  int filtered_argc = static_cast<int>(args.size());
-  args.push_back(nullptr);
-  benchmark::Initialize(&filtered_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
-    return 1;
-  }
+  // google-benchmark takes its own --benchmark_* flags out of argv; every
+  // argument it leaves is ours (json=<path>) and goes through the one parser.
+  benchmark::Initialize(&argc, argv);
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  pad::bench::BenchJson json(args.GetString("json", ""), "micro");
+  pad::bench::CheckArgs(args);
   pad::JsonCollector reporter(&json);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

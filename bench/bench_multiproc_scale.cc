@@ -10,7 +10,7 @@
 //
 // The two runs must agree digest-for-digest — the bench doubles as an
 // end-to-end check of the exactly-once handoff and exits non-zero on a
-// mismatch, as it does when `--min_speedup` (the CI acceptance gate, >= 3x
+// mismatch, as it does when `min_speedup=` (the CI acceptance gate, >= 3x
 // at 8 workers) is not met.
 //
 // Peak memory is reported as `max_rss_mib`: the coordinator's own peak RSS
@@ -21,15 +21,14 @@
 //
 // The checked-in BENCH_multiproc_scale.json baseline comes from:
 //
-//   $ bench_multiproc_scale --json BENCH_multiproc_scale.json
+//   $ bench_multiproc_scale json=BENCH_multiproc_scale.json
 //
 // which runs the full-scale acceptance row and the CI-sized row that
-// perf-smoke regenerates on every push (--ci_only).
+// perf-smoke regenerates on every push (ci_only=1).
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -47,23 +46,6 @@ struct MpBenchCase {
   int64_t market_users = 0;
   int processes = 8;
 };
-
-struct MpBenchOptions {
-  bool ci_only = false;      // --ci_only: just the CI-sized row.
-  double min_speedup = 0.0;  // --min_speedup: fail below this makespan win.
-};
-
-MpBenchOptions OptionsFromArgv(int argc, char** argv) {
-  MpBenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci_only") == 0) {
-      options.ci_only = true;
-    } else if (std::strcmp(argv[i], "--min_speedup") == 0 && i + 1 < argc) {
-      options.min_speedup = std::atof(argv[i + 1]);
-    }
-  }
-  return options;
-}
 
 // Peak RSS in MiB across this process and the largest reaped worker
 // (ru_maxrss is KiB on Linux).
@@ -194,11 +176,14 @@ int RunCase(const MpBenchCase& bench_case, double min_speedup, bench::BenchJson&
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  const pad::MpBenchOptions options = pad::OptionsFromArgv(argc, argv);
-  pad::bench::BenchJson json(argc, argv, "multiproc_scale");
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  const bool ci_only = args.GetBool("ci_only", false);  // Just the CI-sized row.
+  const double min_speedup = args.GetDouble("min_speedup", 0.0);  // Fail below this win.
+  pad::bench::BenchJson json(args.GetString("json", ""), "multiproc_scale");
+  pad::bench::CheckArgs(args);
 
   std::vector<pad::MpBenchCase> cases;
-  if (!options.ci_only) {
+  if (!ci_only) {
     // Acceptance scale: 32 markets over 8 workers — enough queue depth that
     // the coordinator's first-fit assignment keeps every worker busy.
     pad::MpBenchCase full;
@@ -215,7 +200,7 @@ int main(int argc, char** argv) {
   cases.push_back(ci);
 
   for (const pad::MpBenchCase& bench_case : cases) {
-    const int status = pad::RunCase(bench_case, options.min_speedup, json);
+    const int status = pad::RunCase(bench_case, min_speedup, json);
     if (status != 0) {
       return status;
     }

@@ -4,19 +4,19 @@
 // policy settings.
 //
 // Each population size is one independent paired run, so the seven points
-// fan out across the sweep engine; `--threads N` sets the concurrency and
+// fan out across the sweep engine; `threads=N` sets the concurrency and
 // leaves every number bit-identical to the serial run.
 //
-// E17 — Population scale ceiling: `--scale_users N` switches to the
+// E17 — Population scale ceiling: `scale_users=N` switches to the
 // streaming sharded engine (src/core/shard_engine.h) and runs one paired
 // comparison at N users under a resident-memory budget, reporting wall-clock
 // throughput (users/s) and peak RSS. This is the mode that produces the
 // checked-in BENCH_population_scale.json baseline:
 //
-//   $ bench_population_scale --scale_users 1000000 --market_users 2000 \
-//       --max_resident_users 20000 --days 9 --json BENCH_population_scale.json
+//   $ bench_population_scale scale_users=1000000 market_users=2000
+//         max_resident_users=20000 days=9 json=BENCH_population_scale.json
 //
-// `--checkpoint_overhead` additionally repeats the run with the crash-recovery
+// `checkpoint_overhead=1` additionally repeats the run with the crash-recovery
 // journal (src/core/checkpoint.h) enabled and reports wall_on/wall_off as the
 // `checkpoint_overhead` metric, asserting the journaled run's digests match.
 #include <sys/resource.h>
@@ -57,41 +57,16 @@ void RunPopulationEffect(const SweepOptions& sweep, bench::BenchJson& json) {
 }
 
 struct ScaleOptions {
-  int64_t users = 0;
-  int64_t market_users = 2000;
-  int shards = 1;
-  int threads = 1;
-  int64_t max_resident_users = 20000;
-  double days = 9.0;  // 7 warmup + 2 scored keeps 1M users tractable.
-  // --checkpoint_overhead: repeat the run with the crash-recovery journal
-  // enabled (fsync per market) and report wall_on/wall_off. Off by default
-  // because it doubles the bench time at full scale.
-  bool measure_checkpoint = false;
+  int64_t users;
+  int64_t market_users;
+  int shards;
+  int64_t max_resident_users;
+  double days;
+  // Repeat the run with the crash-recovery journal enabled (fsync per
+  // market) and report wall_on/wall_off. Off by default because it doubles
+  // the bench time at full scale.
+  bool measure_checkpoint;
 };
-
-ScaleOptions ScaleOptionsFromArgv(int argc, char** argv) {
-  ScaleOptions options;
-  auto int_flag = [&](const char* name, int64_t* out, int i) {
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-      *out = std::atoll(argv[i + 1]);
-    }
-  };
-  for (int i = 1; i < argc; ++i) {
-    int_flag("--scale_users", &options.users, i);
-    int_flag("--market_users", &options.market_users, i);
-    int_flag("--max_resident_users", &options.max_resident_users, i);
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      options.shards = std::atoi(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
-      options.days = std::atof(argv[i + 1]);
-    }
-    if (std::strcmp(argv[i], "--checkpoint_overhead") == 0) {
-      options.measure_checkpoint = true;
-    }
-  }
-  return options;
-}
 
 int RunScaleCeiling(const ScaleOptions& scale, const SweepOptions& sweep,
                     bench::BenchJson& json) {
@@ -190,9 +165,18 @@ int RunScaleCeiling(const ScaleOptions& scale, const SweepOptions& sweep,
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  const pad::SweepOptions sweep = pad::bench::SweepOptionsFromArgv(argc, argv);
-  const pad::ScaleOptions scale = pad::ScaleOptionsFromArgv(argc, argv);
-  pad::bench::BenchJson json(argc, argv, "population_scale");
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  const pad::SweepOptions sweep{.threads = args.GetInt("threads", 1)};
+  const pad::ScaleOptions scale{
+      .users = args.GetInt("scale_users", 0),
+      .market_users = args.GetInt("market_users", 2000),
+      .shards = args.GetInt("shards", 1),
+      .max_resident_users = args.GetInt("max_resident_users", 20000),
+      .days = args.GetDouble("days", 9.0),  // 7 warmup + 2 scored keeps 1M users tractable.
+      .measure_checkpoint = args.GetBool("checkpoint_overhead", false),
+  };
+  pad::bench::BenchJson json(args.GetString("json", ""), "population_scale");
+  pad::bench::CheckArgs(args);
   if (scale.users > 0) {
     const int status = pad::RunScaleCeiling(scale, sweep, json);
     if (status != 0) {

@@ -77,7 +77,10 @@ void Run(int num_users, bench::BenchJson& json) {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "predictability");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 400), json);
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  const int users = pad::bench::Users(args, 400);
+  pad::bench::BenchJson json(args.GetString("json", ""), "predictability");
+  pad::bench::CheckArgs(args);
+  pad::Run(users, json);
   return json.Flush() ? 0 : 1;
 }

@@ -31,8 +31,8 @@
 //   * degradation is monotone: a higher fault rate induces at least as many
 //     cuts, refused connects, and retries (decision-set nesting, chaos.h).
 //
-//   $ bench_serving_chaos --json BENCH_serving_chaos.json
-//   $ bench_serving_chaos 1024 --connections 8 --requests 400
+//   $ bench_serving_chaos json=BENCH_serving_chaos.json
+//   $ bench_serving_chaos users=1024 connections=8 requests=400
 #include <thread>
 #include <vector>
 
@@ -47,29 +47,11 @@ namespace pad {
 namespace {
 
 struct ChaosBenchOptions {
-  int users = 256;
-  int connections = 6;
-  int requests = 150;
-  uint64_t seed = 424242;
+  int users;
+  int connections;
+  int requests;
+  uint64_t seed;
 };
-
-ChaosBenchOptions OptionsFromArgv(int argc, char** argv) {
-  ChaosBenchOptions options;
-  options.users = bench::UsersFromArgv(argc, argv, options.users);
-  for (int i = 1; i < argc; ++i) {
-    auto int_flag = [&](const char* name, int* out) {
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-        *out = std::atoi(argv[i + 1]);
-      }
-    };
-    int_flag("--connections", &options.connections);
-    int_flag("--requests", &options.requests);
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      options.seed = static_cast<uint64_t>(std::atoll(argv[i + 1]));
-    }
-  }
-  return options;
-}
 
 // Fixed schedule seeds: the same seeds at every rate, so the decision sets
 // nest across levels and degradation is monotone by construction.
@@ -84,9 +66,6 @@ struct LevelResult {
   double p50_us = 0.0, p99_us = 0.0, p999_us = 0.0;
   double goodput_rps = 0.0;
 };
-
-double Hi(uint64_t digest) { return static_cast<double>(digest >> 32); }
-double Lo(uint64_t digest) { return static_cast<double>(digest & 0xffffffffull); }
 
 // Replays every reconnect segment of every connection against DecideBatch:
 // the server must have decided exactly the answered requests of that
@@ -268,8 +247,9 @@ int Run(const ChaosBenchOptions& bench, bench::BenchJson& json) {
   }
   table.Print(std::cout);
   for (const LevelResult& level : results) {
-    std::cout << "decision digest (" << level.name << "): " << FormatDouble(Hi(level.digest), 0)
-              << " / " << FormatDouble(Lo(level.digest), 0) << "\n";
+    std::cout << "decision digest (" << level.name
+              << "): " << FormatDouble(bench::Hi(level.digest), 0) << " / "
+              << FormatDouble(bench::Lo(level.digest), 0) << "\n";
   }
 
   for (const LevelResult& level : results) {
@@ -285,8 +265,8 @@ int Run(const ChaosBenchOptions& bench, bench::BenchJson& json) {
     json.Add("abandoned", static_cast<double>(report.abandoned), "count", label);
     json.Add("errors", static_cast<double>(report.errors), "count", label);
     json.Add("shed", static_cast<double>(report.shed), "count", label);
-    json.Add("decision_digest_hi", Hi(level.digest), "u32", label);
-    json.Add("decision_digest_lo", Lo(level.digest), "u32", label);
+    json.Add("decision_digest_hi", bench::Hi(level.digest), "u32", label);
+    json.Add("decision_digest_lo", bench::Lo(level.digest), "u32", label);
     // Wall-clock rows: reported, never gated.
     json.Add("p50_us", level.p50_us, "us", label);
     json.Add("p99_us", level.p99_us, "us", label);
@@ -302,8 +282,15 @@ int Run(const ChaosBenchOptions& bench, bench::BenchJson& json) {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  const pad::ChaosBenchOptions options = pad::OptionsFromArgv(argc, argv);
-  pad::bench::BenchJson json(argc, argv, "serving_chaos");
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  const pad::ChaosBenchOptions options{
+      .users = pad::bench::Users(args, 256),
+      .connections = args.GetInt("connections", 6),
+      .requests = args.GetInt("requests", 150),
+      .seed = static_cast<uint64_t>(args.GetInt("seed", 424242)),
+  };
+  pad::bench::BenchJson json(args.GetString("json", ""), "serving_chaos");
+  pad::bench::CheckArgs(args);
   const int status = pad::Run(options, json);
   if (status != 0) {
     return status;

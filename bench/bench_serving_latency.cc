@@ -9,8 +9,8 @@
 // impression differently, dropping a response, or shedding a connection it
 // should have admitted fails `tools/bench_compare` at zero tolerance.
 //
-//   $ bench_serving_latency --json BENCH_serving_latency.json
-//   $ bench_serving_latency 1024 --connections 16 --requests 1000
+//   $ bench_serving_latency json=BENCH_serving_latency.json
+//   $ bench_serving_latency users=1024 connections=16 requests=1000
 //
 // Digest construction: per connection, FNV-1a over that connection's
 // concatenated response payloads (order within a connection is part of the
@@ -29,32 +29,11 @@ namespace pad {
 namespace {
 
 struct ServingBenchOptions {
-  int users = 256;
-  int connections = 8;
-  int requests = 200;
-  uint64_t seed = 424242;
+  int users;
+  int connections;
+  int requests;
+  uint64_t seed;
 };
-
-ServingBenchOptions OptionsFromArgv(int argc, char** argv) {
-  ServingBenchOptions options;
-  options.users = bench::UsersFromArgv(argc, argv, options.users);
-  for (int i = 1; i < argc; ++i) {
-    auto int_flag = [&](const char* name, int* out) {
-      if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-        *out = std::atoi(argv[i + 1]);
-      }
-    };
-    int_flag("--connections", &options.connections);
-    int_flag("--requests", &options.requests);
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      options.seed = static_cast<uint64_t>(std::atoll(argv[i + 1]));
-    }
-  }
-  return options;
-}
-
-double Hi(uint64_t digest) { return static_cast<double>(digest >> 32); }
-double Lo(uint64_t digest) { return static_cast<double>(digest & 0xffffffffull); }
 
 int Run(const ServingBenchOptions& serving, bench::BenchJson& json) {
   const std::string label = "users=" + std::to_string(serving.users) +
@@ -133,8 +112,8 @@ int Run(const ServingBenchOptions& serving, bench::BenchJson& json) {
   table.AddRow({"wall time", FormatDouble(report.wall_s, 2) + " s"});
   table.AddRow({"throughput", FormatDouble(report.qps, 0) + " qps"});
   table.AddRow({"bundle fraction", bench::Pct(bundle_fraction)});
-  table.AddRow({"decision digest", FormatDouble(Hi(digest), 0) + " / " +
-                                       FormatDouble(Lo(digest), 0)});
+  table.AddRow({"decision digest", FormatDouble(bench::Hi(digest), 0) + " / " +
+                                       FormatDouble(bench::Lo(digest), 0)});
   table.Print(std::cout);
 
   if (report.errors != 0 || report.shed != 0 ||
@@ -152,8 +131,8 @@ int Run(const ServingBenchOptions& serving, bench::BenchJson& json) {
   json.Add("shed", static_cast<double>(report.shed), "count", label);
   json.Add("errors", static_cast<double>(report.errors), "count", label);
   json.Add("bundle_fraction", bundle_fraction, "fraction", label);
-  json.Add("decision_digest_hi", Hi(digest), "u32", label);
-  json.Add("decision_digest_lo", Lo(digest), "u32", label);
+  json.Add("decision_digest_hi", bench::Hi(digest), "u32", label);
+  json.Add("decision_digest_lo", bench::Lo(digest), "u32", label);
   return 0;
 }
 
@@ -161,8 +140,15 @@ int Run(const ServingBenchOptions& serving, bench::BenchJson& json) {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  const pad::ServingBenchOptions options = pad::OptionsFromArgv(argc, argv);
-  pad::bench::BenchJson json(argc, argv, "serving_latency");
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  const pad::ServingBenchOptions options{
+      .users = pad::bench::Users(args, 256),
+      .connections = args.GetInt("connections", 8),
+      .requests = args.GetInt("requests", 200),
+      .seed = static_cast<uint64_t>(args.GetInt("seed", 424242)),
+  };
+  pad::bench::BenchJson json(args.GetString("json", ""), "serving_latency");
+  pad::bench::CheckArgs(args);
   const int status = pad::Run(options, json);
   if (status != 0) {
     return status;

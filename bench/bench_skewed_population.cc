@@ -16,17 +16,16 @@
 //
 // The two runs must also agree digest-for-digest — the bench doubles as an
 // end-to-end check of the scheduler half of the determinism contract and
-// exits non-zero on a mismatch, as it does when `--min_speedup` (the CI
+// exits non-zero on a mismatch, as it does when `min_speedup=` (the CI
 // acceptance gate) is not met.
 //
 // The checked-in BENCH_skewed_population.json baseline comes from:
 //
-//   $ bench_skewed_population --json BENCH_skewed_population.json
+//   $ bench_skewed_population json=BENCH_skewed_population.json
 //
 // which runs the full-scale row (3200 users, heavy markets ~100x light) and
 // the CI-sized row perf-smoke regenerates on every push.
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -45,25 +44,6 @@ struct SkewBenchCase {
   double skew_multiplier = 100.0;
   int workers = 8;
 };
-
-struct SkewBenchOptions {
-  // Default: the checked-in baseline — full-scale acceptance row + CI row.
-  // --ci_only keeps just the CI-sized row (what perf-smoke runs).
-  bool ci_only = false;
-  double min_speedup = 0.0;  // --min_speedup: fail below this stealing win.
-};
-
-SkewBenchOptions OptionsFromArgv(int argc, char** argv) {
-  SkewBenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci_only") == 0) {
-      options.ci_only = true;
-    } else if (std::strcmp(argv[i], "--min_speedup") == 0 && i + 1 < argc) {
-      options.min_speedup = std::atof(argv[i + 1]);
-    }
-  }
-  return options;
-}
 
 struct ScheduleRun {
   ShardedComparison result;
@@ -174,11 +154,14 @@ int RunCase(const SkewBenchCase& bench_case, double min_speedup, bench::BenchJso
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  const pad::SkewBenchOptions options = pad::OptionsFromArgv(argc, argv);
-  pad::bench::BenchJson json(argc, argv, "skewed_population");
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  const bool ci_only = args.GetBool("ci_only", false);  // Just the CI-sized row.
+  const double min_speedup = args.GetDouble("min_speedup", 0.0);  // Fail below this win.
+  pad::bench::BenchJson json(args.GetString("json", ""), "skewed_population");
+  pad::bench::CheckArgs(args);
 
   std::vector<pad::SkewBenchCase> cases;
-  if (!options.ci_only) {
+  if (!ci_only) {
     // Acceptance scale: 32 markets, the first 4 carrying ~100x the cost; a
     // static 8-worker split hands all four to worker 0.
     pad::SkewBenchCase full;
@@ -195,7 +178,7 @@ int main(int argc, char** argv) {
   cases.push_back(ci);
 
   for (const pad::SkewBenchCase& bench_case : cases) {
-    const int status = pad::RunCase(bench_case, options.min_speedup, json);
+    const int status = pad::RunCase(bench_case, min_speedup, json);
     if (status != 0) {
       return status;
     }

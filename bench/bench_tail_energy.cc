@@ -69,7 +69,9 @@ void Run(bench::BenchJson& json) {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "tail_energy");
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  pad::bench::BenchJson json(args.GetString("json", ""), "tail_energy");
+  pad::bench::CheckArgs(args);
   pad::Run(json);
   return json.Flush() ? 0 : 1;
 }

@@ -73,7 +73,10 @@ void Run(int num_users, bench::BenchJson& json) {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "targeting");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 250), json);
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  const int users = pad::bench::Users(args, 250);
+  pad::bench::BenchJson json(args.GetString("json", ""), "targeting");
+  pad::bench::CheckArgs(args);
+  pad::Run(users, json);
   return json.Flush() ? 0 : 1;
 }

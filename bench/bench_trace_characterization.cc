@@ -94,7 +94,10 @@ void Run(int num_users, bench::BenchJson& json) {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "trace_characterization");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 1700), json);
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  const int users = pad::bench::Users(args, 1700);
+  pad::bench::BenchJson json(args.GetString("json", ""), "trace_characterization");
+  pad::bench::CheckArgs(args);
+  pad::Run(users, json);
   return json.Flush() ? 0 : 1;
 }

@@ -5,7 +5,7 @@
 //
 // The trace and the baseline are computed once; every PAD operating point is
 // an independent run against the shared read-only inputs, fanned out through
-// RunPadMany (`--threads N`).
+// RunPadMany (`threads=N`).
 #include "bench/bench_util.h"
 
 namespace pad {
@@ -69,8 +69,11 @@ void Run(int num_users, const SweepOptions& sweep, bench::BenchJson& json) {
 }  // namespace pad
 
 int main(int argc, char** argv) {
-  pad::bench::BenchJson json(argc, argv, "tradeoff");
-  pad::Run(pad::bench::UsersFromArgv(argc, argv, 250), pad::bench::SweepOptionsFromArgv(argc, argv),
-           json);
+  const pad::Options args = pad::bench::ParseArgs(argc, argv);
+  const int users = pad::bench::Users(args, 250);
+  const pad::SweepOptions sweep{.threads = args.GetInt("threads", 1)};
+  pad::bench::BenchJson json(args.GetString("json", ""), "tradeoff");
+  pad::bench::CheckArgs(args);
+  pad::Run(users, sweep, json);
   return json.Flush() ? 0 : 1;
 }

@@ -3,19 +3,25 @@
 // Every harness prints the rows/series of one table or figure from the
 // paper's evaluation (see DESIGN.md §4 for the experiment index and
 // EXPERIMENTS.md for paper-vs-measured). Populations are scaled down from
-// the paper's 1,700 users so the full suite runs in minutes; pass a user
-// count as argv[1] to run any harness at full scale, and `--threads N` to
-// fan the sweep's independent runs across N threads (results are
-// bit-identical for any N — see src/core/sweep.h).
+// the paper's 1,700 users so the full suite runs in minutes.
+//
+// Arguments use the tools' grammar (src/common/options.h): `key=value`, or
+// `--config <file>` for one per line. `users=N` runs a harness at another
+// scale (users=1700 is the paper's), `threads=N` fans a sweep's independent
+// runs across N threads (results are bit-identical for any N — see
+// src/core/sweep.h), and `json=<path>` also writes the results as BenchRow
+// JSON. A malformed argument, a bad value or a key the harness does not read
+// exits 1 with a one-line message before any simulation runs.
 #ifndef ADPAD_BENCH_BENCH_UTIL_H_
 #define ADPAD_BENCH_BENCH_UTIL_H_
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "src/common/bench_baseline.h"
+#include "src/common/options.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
@@ -36,55 +42,57 @@ inline PadConfig StandardConfig(int num_users) {
   return config;
 }
 
-inline int UsersFromArgv(int argc, char** argv, int default_users) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) == 0) {
-      if (std::strchr(argv[i], '=') == nullptr) {
-        ++i;  // Space-separated flag: skip its value too.
-      }
-      continue;
-    }
-    const int users = std::atoi(argv[i]);
-    if (users > 0) {
-      return users;
-    }
+// Parses argv; a malformed argument (say a bare `1700`) prints the error and
+// exits 1.
+inline Options ParseArgs(int argc, char** argv) {
+  std::string error;
+  std::optional<Options> args = Options::Parse(argc, argv, &error);
+  if (!args.has_value()) {
+    std::cerr << error << "\n";
+    std::exit(1);
   }
-  return default_users;
+  return *std::move(args);
 }
 
-// `--threads N` (or `--threads=N`): concurrency of the sweep fan-out.
-// Defaults to 1 (serial); 0 asks the hardware.
-inline SweepOptions SweepOptionsFromArgv(int argc, char** argv) {
-  SweepOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.threads = std::atoi(argv[i + 1]);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      options.threads = std::atoi(argv[i] + 10);
-    }
+// Call after the last Get*: a bad value or an unread key prints the verdict
+// of Options::Check and exits 1, so a harness never runs a configuration
+// other than the one it was given.
+inline void CheckArgs(const Options& args) {
+  if (const std::string error = args.Check(); !error.empty()) {
+    std::cerr << error << "\n";
+    std::exit(1);
   }
-  return options;
 }
+
+// `users=N`, the population. The simulation requires N >= 1, so anything
+// less exits 1 here instead of aborting in a check mid-run.
+inline int Users(const Options& args, int fallback) {
+  const int users = args.GetInt("users", fallback);
+  if (users < 1) {
+    std::cerr << "option 'users' must be at least 1 (value '" << users << "')\n";
+    std::exit(1);
+  }
+  return users;
+}
+
+// A 64-bit digest as its uint32 halves in doubles: each half is exactly
+// representable, so the JSON round-trip and the zero-tolerance compare in
+// tools/bench_compare are bit-precise.
+inline double Hi(uint64_t digest) { return static_cast<double>(digest >> 32); }
+inline double Lo(uint64_t digest) { return static_cast<double>(digest & 0xffffffffull); }
 
 inline std::string Pct(double fraction, int precision = 1) {
   return FormatDouble(100.0 * fraction, precision) + "%";
 }
 
-// Machine-readable output: `--json <path>` makes the harness also write its
-// results as BenchRow JSON (src/common/bench_baseline.h). Collect rows while
-// printing the human tables, then Flush() before exiting. Flush is also run
-// by the destructor so early returns still write the file.
+// Machine-readable output: a non-empty `json=<path>` makes the harness also
+// write its results as BenchRow JSON (src/common/bench_baseline.h). Collect
+// rows while printing the human tables, then Flush() before exiting. Flush is
+// also run by the destructor so early returns still write the file.
 class BenchJson {
  public:
-  BenchJson(int argc, char** argv, std::string bench) : bench_(std::move(bench)) {
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-        path_ = argv[i + 1];
-      } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-        path_ = argv[i] + 7;
-      }
-    }
-  }
+  BenchJson(std::string path, std::string bench)
+      : bench_(std::move(bench)), path_(std::move(path)) {}
   ~BenchJson() { Flush(); }
   BenchJson(const BenchJson&) = delete;
   BenchJson& operator=(const BenchJson&) = delete;
@@ -106,7 +114,7 @@ class BenchJson {
     Add("revenue_ratio", comparison.RevenueRatio(), "fraction", config);
   }
 
-  // Writes the collected rows if --json was given. Returns false (after
+  // Writes the collected rows if a path was given. Returns false (after
   // printing the error) only on IO failure.
   bool Flush() {
     if (path_.empty() || flushed_) {
@@ -115,7 +123,7 @@ class BenchJson {
     flushed_ = true;
     std::string error;
     if (!SaveBenchRows(path_, rows_, &error)) {
-      std::cerr << "bench --json: " << error << "\n";
+      std::cerr << "bench json=: " << error << "\n";
       return false;
     }
     std::cout << "wrote " << rows_.size() << " bench rows to " << path_ << "\n";

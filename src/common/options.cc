@@ -1,7 +1,9 @@
 #include "src/common/options.h"
 
+#include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace pad {
@@ -132,6 +134,12 @@ double Options::GetDouble(const std::string& key, double fallback) const {
 
 int Options::GetInt(const std::string& key, int fallback) const {
   const double value = GetDouble(key, static_cast<double>(fallback));
+  // Casting an out-of-range double to int is undefined, so range-check first
+  // (the negated form also rejects NaN).
+  if (!(value >= std::numeric_limits<int>::min() && value <= std::numeric_limits<int>::max())) {
+    RecordError(key, "is out of range");
+    return fallback;
+  }
   const int as_int = static_cast<int>(value);
   if (static_cast<double>(as_int) != value) {
     RecordError(key, "is not an integer");
@@ -171,6 +179,14 @@ std::vector<std::string> Options::UnusedKeys() const {
     }
   }
   return unused;
+}
+
+std::string Options::Check() const {
+  if (!error_.empty()) {
+    return error_;
+  }
+  const std::vector<std::string> unused = UnusedKeys();
+  return unused.empty() ? "" : "unknown option '" + unused.front() + "'";
 }
 
 }  // namespace pad

@@ -27,20 +27,26 @@ class Options {
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
 
   // Typed getters with defaults. A stored value that does not parse as the
-  // requested type returns the fallback and records a diagnostic retrievable
-  // via error() — never aborts, so tools can reject bad flags with a clean
-  // one-line message instead of a PAD_CHECK stack trace.
+  // requested type (or, for GetInt, lies outside int's range) returns the
+  // fallback and records a diagnostic retrievable via error() — never aborts,
+  // so tools can reject bad flags with a clean one-line message instead of a
+  // PAD_CHECK stack trace.
   std::string GetString(const std::string& key, const std::string& fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
   int GetInt(const std::string& key, int fallback) const;
   bool GetBool(const std::string& key, bool fallback) const;
 
-  // First type error hit by any Get* ("" when all reads parsed). Check after
-  // reading every option; the offending key is named in the message.
+  // First type error hit by any Get* ("" when all reads parsed), naming the
+  // offending key. Check() folds it together with the unread keys.
   const std::string& error() const { return error_; }
 
   // Keys present but never read by any Get*: catches typos in configs.
   std::vector<std::string> UnusedKeys() const;
+
+  // The verdict to act on after the last Get*: the first type error, else
+  // "unknown option '<key>'" for the first key no Get* read, else "" (OK).
+  // Every binary exits 1 on a non-empty verdict before doing any work.
+  std::string Check() const;
 
   void Set(const std::string& key, const std::string& value) { values_[key] = value; }
 

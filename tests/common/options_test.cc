@@ -109,6 +109,35 @@ TEST(OptionsTest, TypeMismatchRecordsErrorInsteadOfAborting) {
   EXPECT_NE(options->error().find("'n'"), std::string::npos);
 }
 
+TEST(OptionsTest, IntOutOfRangeRecordsErrorInsteadOfCasting) {
+  const auto options = ParseArgs({"big=1e10", "small=-3e9", "nan=nan", "max=2147483647"});
+  ASSERT_TRUE(options.has_value());
+  EXPECT_EQ(5, options->GetInt("big", 5));
+  EXPECT_NE(options->error().find("option 'big' is out of range"), std::string::npos);
+  EXPECT_EQ(6, options->GetInt("small", 6));
+  EXPECT_EQ(7, options->GetInt("nan", 7));
+  EXPECT_EQ(2147483647, options->GetInt("max", 0));
+  EXPECT_NE(options->error().find("'big'"), std::string::npos);  // First error sticks.
+}
+
+TEST(OptionsTest, CheckReportsTypeErrorBeforeUnknownKeyAndEmptyWhenClean) {
+  EXPECT_EQ("", ParseArgs({})->Check());
+  const auto options = ParseArgs({"a_typo=1", "n=abc", "ok=2"});
+  ASSERT_TRUE(options.has_value());
+  EXPECT_EQ(2, options->GetInt("ok", 0));
+  EXPECT_EQ("unknown option 'a_typo'", options->Check());
+  EXPECT_EQ(0, options->GetInt("n", 0));
+  EXPECT_EQ("option 'n' is not a number (value 'abc')", options->Check());
+  EXPECT_EQ(1, options->GetInt("a_typo", 0));
+  EXPECT_EQ("option 'n' is not a number (value 'abc')", options->Check());
+
+  const auto clean = ParseArgs({"n=3", "b=on"});
+  ASSERT_TRUE(clean.has_value());
+  EXPECT_EQ(3, clean->GetInt("n", 0));
+  EXPECT_TRUE(clean->GetBool("b", false));
+  EXPECT_EQ("", clean->Check());
+}
+
 TEST(OptionsTest, WellTypedReadsLeaveErrorEmpty) {
   const auto options = ParseArgs({"n=3", "f=1.5", "b=true"});
   ASSERT_TRUE(options.has_value());

@@ -81,12 +81,8 @@ int Main(int argc, char** argv) {
   load.chaos.stall_rate = options->GetDouble("chaos_stall_rate", 0.0);
   load.chaos.stall_ms = options->GetDouble("chaos_stall_ms", load.chaos.stall_ms);
   load.chaos.cut_rate = options->GetDouble("chaos_cut_rate", 0.0);
-  if (!options->error().empty()) {
-    std::cerr << options->error() << "\n";
-    return 1;
-  }
-  for (const std::string& key : options->UnusedKeys()) {
-    std::cerr << "unknown option '" << key << "'\n";
+  if (const std::string error = options->Check(); !error.empty()) {
+    std::cerr << error << "\n";
     return 1;
   }
   if (load.port == 0) {

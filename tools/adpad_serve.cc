@@ -101,12 +101,8 @@ int Main(int argc, char** argv) {
       options->GetDouble("chaos_stall_ms", server_options.chaos.stall_ms);
   server_options.chaos.cut_rate = options->GetDouble("chaos_cut_rate", 0.0);
   server_options.chaos.cut_with_rst = options->GetInt("chaos_cut_with_rst", 0) != 0;
-  if (!options->error().empty()) {
-    std::cerr << options->error() << "\n";
-    return 1;
-  }
-  for (const std::string& key : options->UnusedKeys()) {
-    std::cerr << "unknown option '" << key << "'\n";
+  if (const std::string error = options->Check(); !error.empty()) {
+    std::cerr << error << "\n";
     return 1;
   }
 

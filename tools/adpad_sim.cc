@@ -78,6 +78,7 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -102,19 +103,19 @@ std::atomic<bool> g_stop_requested{false};
 
 void HandleStopSignal(int) { g_stop_requested.store(true); }
 
-std::vector<int> ParseIntList(const std::string& text) {
+// sweep_users=a,b,c: each entry is read through Options::GetInt, so "10x"
+// or "1e10" is reported (naming the key) instead of silently truncated.
+std::vector<int> ParseUserList(const std::string& text, std::string* error) {
   std::vector<int> values;
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t end = text.find(',', start);
-    if (end == std::string::npos) {
-      end = text.size();
+  std::istringstream entries(text);
+  for (std::string entry; std::getline(entries, entry, ',');) {
+    Options one;
+    one.Set("sweep_users", entry);
+    values.push_back(one.GetInt("sweep_users", 0));
+    if (!one.error().empty()) {
+      *error = one.error();
+      return {};
     }
-    const std::string token = text.substr(start, end - start);
-    if (!token.empty()) {
-      values.push_back(std::atoi(token.c_str()));
-    }
-    start = end + 1;
   }
   return values;
 }
@@ -280,13 +281,10 @@ int RunTool(const Options& options) {
     };
   }
 
-  for (const std::string& key : options.UnusedKeys()) {
-    std::cerr << "warning: unknown option '" << key << "' ignored\n";
-  }
-  // A mistyped value (users=ten) lands here, not in an abort: the getters
-  // record the first type error and fall back to the default.
-  if (!options.error().empty()) {
-    std::cerr << "adpad_sim: " << options.error() << "\n";
+  // A mistyped value (users=ten) or key (user=10) lands here, not in an
+  // abort or a silent default.
+  if (const std::string error = options.Check(); !error.empty()) {
+    std::cerr << "adpad_sim: " << error << "\n";
     return 1;
   }
 
@@ -303,8 +301,13 @@ int RunTool(const Options& options) {
       std::cerr << "sweep_users generates its own traces; drop trace_in\n";
       return 1;
     }
-    return RunUserSweep(config, ParseIntList(sweep_users), options.Has("arrivals_per_day"),
-                        sweep);
+    std::string list_error;
+    const std::vector<int> user_counts = ParseUserList(sweep_users, &list_error);
+    if (!list_error.empty()) {
+      std::cerr << "adpad_sim: " << list_error << "\n";
+      return 1;
+    }
+    return RunUserSweep(config, user_counts, options.Has("arrivals_per_day"), sweep);
   }
 
   // Streaming sharded engine: lazy per-market generation under a resident

@@ -96,8 +96,8 @@ int main(int argc, char** argv) {
   }
   const std::string path = options->GetString("journal", "");
   const bool compact = options->GetBool("compact", false);
-  if (!options->error().empty()) {
-    std::cerr << "checkpoint_inspect: " << options->error() << "\n";
+  if (const std::string check = options->Check(); !check.empty()) {
+    std::cerr << "checkpoint_inspect: " << check << "\n";
     return 1;
   }
   if (path.empty()) {

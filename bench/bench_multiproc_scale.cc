@@ -1,7 +1,7 @@
 // E22 — Multi-process scaling: the same market queue executed by forked
-// worker processes (src/core/multiproc_engine.h) at 1 worker and at 8, with
-// the win reported as *makespan speedup*: per-worker sums of the thread-CPU
-// cost of each market (ShardedComparison::market_busy_s), speedup =
+// worker processes (ShardEngineOptions::processes) at 1 worker and at 8,
+// with the win reported as *makespan speedup*: per-worker sums of the
+// thread-CPU cost of each market (bench::WorkerLoadOf), speedup =
 // makespan(p=1) / makespan(p=8). As in E19, thread-CPU makespan is what
 // wall clock becomes on a machine with enough cores, and it stays faithful
 // on the oversubscribed or single-core boxes CI runs on, where the wall
@@ -34,7 +34,6 @@
 
 #include "bench/bench_util.h"
 #include "src/common/check.h"
-#include "src/core/multiproc_engine.h"
 #include "src/core/shard_engine.h"
 
 namespace pad {
@@ -69,15 +68,15 @@ EngineRun RunAtProcessCount(const PadConfig& config, int processes,
   // A leftover journal would replay markets instead of simulating them and
   // fake the timing; every measured run starts from a clean file.
   std::remove(journal.c_str());
-  MultiprocEngineOptions options;
+  ShardEngineOptions options;
   options.processes = processes;
-  options.engine.event_digests = false;
-  options.engine.checkpoint_path = journal;
-  PAD_CHECK(ValidateMultiprocOptions(config, options).empty());
+  options.event_digests = false;
+  options.checkpoint_path = journal;
+  PAD_CHECK(ValidateShardOptions(config, options).empty());
 
   EngineRun run;
   const auto start = std::chrono::steady_clock::now();
-  StatusOr<ShardedComparison> result = RunMultiprocSharded(config, options);
+  StatusOr<ShardedComparison> result = RunShardedResumable(config, options);
   run.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   PAD_CHECK_MSG(result.ok(), result.status().ToString().c_str());
@@ -85,17 +84,9 @@ EngineRun RunAtProcessCount(const PadConfig& config, int processes,
   PAD_CHECK(run.result.resumed_markets == 0);
   std::remove(journal.c_str());
 
-  std::vector<double> worker_busy(static_cast<size_t>(run.result.worker_processes), 0.0);
-  for (int m = 0; m < run.result.num_markets; ++m) {
-    const int worker = run.result.market_workers[static_cast<size_t>(m)];
-    PAD_CHECK(worker >= 0 && worker < run.result.worker_processes);
-    worker_busy[static_cast<size_t>(worker)] +=
-        run.result.market_busy_s[static_cast<size_t>(m)];
-  }
-  for (double busy : worker_busy) {
-    run.makespan_s = std::max(run.makespan_s, busy);
-    run.total_busy_s += busy;
-  }
+  const bench::WorkerLoad load = bench::WorkerLoadOf(run.result);
+  run.makespan_s = load.makespan_s;
+  run.total_busy_s = load.total_busy_s;
   return run;
 }
 

@@ -68,16 +68,9 @@ ScheduleRun RunSchedule(const PadConfig& config, const SkewBenchCase& bench_case
   run.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
-  std::vector<double> worker_busy(static_cast<size_t>(run.result.workers_used), 0.0);
-  for (int m = 0; m < run.result.num_markets; ++m) {
-    const int worker = run.result.market_workers[static_cast<size_t>(m)];
-    PAD_CHECK(worker >= 0 && worker < run.result.workers_used);
-    worker_busy[static_cast<size_t>(worker)] += run.result.market_busy_s[static_cast<size_t>(m)];
-  }
-  for (double busy : worker_busy) {
-    run.makespan_s = std::max(run.makespan_s, busy);
-    run.total_busy_s += busy;
-  }
+  const bench::WorkerLoad load = bench::WorkerLoadOf(run.result);
+  run.makespan_s = load.makespan_s;
+  run.total_busy_s = load.total_busy_s;
   const double ideal = run.total_busy_s / static_cast<double>(run.result.workers_used);
   run.imbalance = ideal > 0.0 ? run.makespan_s / ideal : 1.0;
   return run;

@@ -15,17 +15,21 @@
 #ifndef ADPAD_BENCH_BENCH_UTIL_H_
 #define ADPAD_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/common/bench_baseline.h"
+#include "src/common/check.h"
 #include "src/common/options.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/units.h"
 #include "src/core/pad_simulation.h"
+#include "src/core/shard_engine.h"
 #include "src/core/sweep.h"
 
 namespace pad {
@@ -136,6 +140,34 @@ class BenchJson {
   std::vector<BenchRow> rows_;
   bool flushed_ = false;
 };
+
+// Thread-CPU load of a sharded run: each market's busy time is charged to the
+// lane or worker process that simulated it. makespan_s is the largest
+// per-worker sum (what wall clock becomes with a core per worker),
+// total_busy_s the sum over all workers. Every market must have been
+// simulated in the run, none restored from a journal.
+struct WorkerLoad {
+  double makespan_s = 0.0;
+  double total_busy_s = 0.0;
+};
+
+inline WorkerLoad WorkerLoadOf(const ShardedComparison& result) {
+  // Sized by the highest worker index, not workers_used: with processes,
+  // workers_used counts only the workers that ran a market.
+  std::vector<double> busy;
+  for (size_t m = 0; m < result.market_workers.size(); ++m) {
+    const int worker = result.market_workers[m];
+    PAD_CHECK(worker >= 0);
+    busy.resize(std::max(busy.size(), static_cast<size_t>(worker) + 1), 0.0);
+    busy[static_cast<size_t>(worker)] += result.market_busy_s[m];
+  }
+  WorkerLoad load;
+  for (const double worker_busy : busy) {
+    load.makespan_s = std::max(load.makespan_s, worker_busy);
+    load.total_busy_s += worker_busy;
+  }
+  return load;
+}
 
 // Summary row shared by the end-to-end sweeps.
 inline std::vector<std::string> MetricsRow(const std::string& label,

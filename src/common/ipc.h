@@ -1,8 +1,8 @@
 // Length-prefixed message framing between coordinator and worker processes.
 //
-// The multi-process shard engine (src/core/multiproc_engine.h) hands market
-// ids to forked workers and collects completion notices back over a
-// socketpair. Every message on such a channel is one frame:
+// The shard engine's multi-process executor (src/core/multiproc_engine.h)
+// hands market ids to forked workers and collects completion notices back
+// over a socketpair. Every message on such a channel is one frame:
 //
 //   [u32 frame_length (LE)] [u8 type] [frame_length - 1 bytes of payload]
 //

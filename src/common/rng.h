@@ -16,12 +16,30 @@
 
 namespace pad {
 
+// SplitMix64 (Steele, Lea & Flood 2014): each step adds this golden-ratio
+// increment to the state and returns the state through Mix64, the finalizer.
+// Rng seeding, per-job and per-market seed derivation, steal victim scans,
+// fault and chaos decisions and Wi-Fi jitter all use these two, so a change
+// here moves every digest.
+inline constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ull;
+
+inline constexpr uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// One SplitMix64 step: advances `state` and returns the next output.
+inline constexpr uint64_t SplitMix64(uint64_t& state) {
+  return Mix64(state += kSplitMix64Gamma);
+}
+
 // xoshiro256++ 1.0 by Blackman & Vigna (public domain reference
 // implementation), seeded through SplitMix64 so that small consecutive seeds
 // produce well-decorrelated streams.
 class Rng {
  public:
-  explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull);
+  explicit Rng(uint64_t seed = kSplitMix64Gamma);
 
   // Derive an independent child stream; used to give each simulated user its
   // own generator so that changing one user's draws cannot perturb another's.

@@ -7,16 +7,10 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
 
 namespace pad {
 namespace {
-
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 // One worker's deque plus its mutex, padded to a cache line so a steal on
 // one deque never false-shares with the owner's pops on a neighbor.
@@ -42,7 +36,7 @@ class SchedulerState {
   }
 
   void RunWorker(int worker, const std::function<void(int worker, int64_t task)>& body) {
-    uint64_t scan_state = options_.steal_seed ^ (0x9e3779b97f4a7c15ull * (worker + 1));
+    uint64_t scan_state = options_.steal_seed ^ (kSplitMix64Gamma * (worker + 1));
     const int workers = static_cast<int>(deques_.size());
     while (true) {
       if (options_.stop_requested != nullptr && options_.stop_requested->load()) {

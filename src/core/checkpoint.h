@@ -154,7 +154,8 @@ Status CheckJournalHeader(const CheckpointHeader& found, const CheckpointHeader&
 // worker journals.
 Status FsyncParentDir(const std::string& path);
 
-// The open-or-resume protocol both engines run against a journal path:
+// The open-or-resume protocol the engine and its worker processes run against
+// a journal path:
 //   * no file / torn-before-header  -> create fresh, write `expected`;
 //   * valid journal, header matches -> truncate the torn tail, return the
 //     CRC-valid records, and position the writer for append;

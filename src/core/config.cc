@@ -48,6 +48,9 @@ std::string ValidateConfig(const PadConfig& config) {
   if (!(config.population.horizon_s > 0.0)) {
     return "population.horizon_s must be positive";
   }
+  if (!(config.population.horizon_s > config.WarmupS())) {
+    return "population.horizon_s must extend past warmup_days (nothing would be scored)";
+  }
   if (config.population.num_segments < 1 || config.population.num_segments > kMaxSegments) {
     return "population.num_segments must be in [1, 32]";
   }

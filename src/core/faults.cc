@@ -3,24 +3,14 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
 
 namespace pad {
-namespace {
-
-constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ull;
-
-}  // namespace
-
-uint64_t DetMix64(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 double DetHashUniform(uint64_t seed, uint64_t channel, int64_t a, int64_t b) {
-  uint64_t state = seed + kGolden * channel;
-  state = DetMix64(state + kGolden * static_cast<uint64_t>(a));
-  state = DetMix64(state + kGolden * static_cast<uint64_t>(b));
+  uint64_t state = seed + kSplitMix64Gamma * channel;
+  state = Mix64(state + kSplitMix64Gamma * static_cast<uint64_t>(a));
+  state = Mix64(state + kSplitMix64Gamma * static_cast<uint64_t>(b));
   // 53 high bits -> uniform double in [0, 1).
   return static_cast<double>(state >> 11) * 0x1.0p-53;
 }
@@ -28,7 +18,7 @@ double DetHashUniform(uint64_t seed, uint64_t channel, int64_t a, int64_t b) {
 FaultPlan::FaultPlan(const FaultConfig& config, uint64_t seed)
     : config_(config),
       // Domain-separate from every other consumer of config.seed.
-      seed_(DetMix64(seed ^ 0xfa017571a57a11ull)),
+      seed_(Mix64(seed ^ 0xfa017571a57a11ull)),
       enabled_(config.AnyEnabled()) {}
 
 double FaultPlan::Draw(Channel channel, int64_t client_id, int64_t index) const {

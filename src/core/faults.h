@@ -46,13 +46,11 @@ namespace pad {
 // *nest* across rates (an event that fires at rate r fires at every r' > r,
 // because the same uniform draw is compared against both).
 
-// SplitMix64 finalizer (Steele et al.); also the seeding mix used by Rng, so
-// hash-derived decisions are well-decorrelated from RNG streams even when
-// both start from the same seed.
-uint64_t DetMix64(uint64_t z);
-
 // Uniform [0, 1) draw, a pure function of (seed, channel, a, b). `channel`
-// domain-separates independent decision kinds sharing one seed.
+// domain-separates independent decision kinds sharing one seed. The hash is
+// the SplitMix64 finalizer (Mix64 in src/common/rng.h), which also seeds Rng,
+// so hash-derived decisions are well-decorrelated from RNG streams even when
+// both start from the same seed.
 double DetHashUniform(uint64_t seed, uint64_t channel, int64_t a, int64_t b);
 
 // Fault knobs, part of PadConfig (config.faults). All rates are

@@ -5,7 +5,6 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,15 +13,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <memory>
 #include <set>
 #include <utility>
-#include <vector>
 
 #include "src/common/check.h"
+#include "src/common/clock.h"
 #include "src/common/ipc.h"
-#include "src/core/checkpoint.h"
-#include "src/core/pad_simulation.h"
 #include "src/trace/generator.h"
 
 namespace pad {
@@ -40,19 +36,6 @@ enum IpcMsgType : uint8_t {
                      //   [u32 status_code][string message]
   kMsgShutdown = 5,  // coord -> worker: exit cleanly.         []
 };
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-// CPU time of the calling thread — the worker ships each market's cost on
-// this clock so per-worker sums measure load balance and CPU-fair speedup
-// even when workers outnumber cores (same clock the in-process engine uses).
-double ThreadCpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 // ---------------------------------------------------------------------------
 // SIGCHLD -> self-pipe, so worker death wakes the coordinator's poll loop
@@ -92,13 +75,11 @@ Status SendWorkerDone(int fd, uint32_t market, uint64_t pad_digest, double busy_
 // DONE. A SIGKILL between the fsync and the send costs nothing — the
 // coordinator's post-mortem journal read finds the market; a SIGKILL before
 // the fsync loses only that one market, which is requeued.
-int WorkerMain(int fd, int worker, const PadConfig& aligned,
-               const std::vector<int64_t>& boundaries, const ShardEngineOptions& engine) {
-  const int num_markets = static_cast<int>(boundaries.size()) - 1;
-  const CheckpointHeader header =
-      JournalHeaderFor(aligned, num_markets, engine.run_baseline, engine.event_digests);
+int WorkerMain(int fd, int worker, const ShardRun& run) {
+  const ShardEngineOptions& options = run.options;
+  const int num_markets = static_cast<int>(run.boundaries.size()) - 1;
   StatusOr<ResumedJournal> journal_or = OpenOrResumeJournal(
-      WorkerJournalPath(engine.checkpoint_path, worker), header, engine.checkpoint_fsync);
+      WorkerJournalPath(options.checkpoint_path, worker), run.header, options.checkpoint_fsync);
   if (!journal_or.ok()) {
     (void)SendWorkerError(fd, journal_or.status());
     return ExitCodeFor(journal_or.status());
@@ -120,7 +101,7 @@ int WorkerMain(int fd, int worker, const PadConfig& aligned,
     }
   }
 
-  PopulationStream stream(aligned.population);
+  PopulationStream stream(run.aligned.population);
   while (true) {
     StatusOr<IpcMessage> message = RecvIpcFrame(fd);
     if (!message.ok()) {
@@ -147,8 +128,9 @@ int WorkerMain(int fd, int worker, const PadConfig& aligned,
     }
 
     const double busy_start = ThreadCpuSeconds();
-    MarketRecord record = SimulateMarket(aligned, boundaries, static_cast<int>(market), stream,
-                                         engine.run_baseline, engine.event_digests);
+    MarketRecord record =
+        SimulateMarket(run.aligned, run.boundaries, static_cast<int>(market), stream,
+                       options.run_baseline, options.event_digests);
     const double busy_s = ThreadCpuSeconds() - busy_start;
     if (const Status status = journal.writer->Append(record); !status.ok()) {
       (void)SendWorkerError(fd, status);
@@ -161,14 +143,32 @@ int WorkerMain(int fd, int worker, const PadConfig& aligned,
 }
 
 // ---------------------------------------------------------------------------
+// Coordinator-side view of one worker.
+
+struct WorkerSlot {
+  int index = -1;
+  pid_t pid = -1;
+  int fd = -1;  // Coordinator end, nonblocking. -1 once closed.
+  IpcChannelReader reader;
+  bool ready = false;          // Hello received.
+  bool alive = true;           // Not yet reaped.
+  bool channel_open = true;    // EOF/transport error not yet seen.
+  bool shutdown_sent = false;
+  bool stall_reported = false;
+  int assigned = -1;           // Outstanding market, -1 when idle.
+  double assigned_at_s = 0.0;  // Engine-relative assignment time.
+};
+
+// ---------------------------------------------------------------------------
 // Journal consolidation: fold every `<checkpoint>.w<digits>` file in the
 // checkpoint's directory into the result slots and the main journal, then
 // remove the worker files. Idempotent by construction — a record already in
 // a slot is verified for digest equality and skipped, so running it twice
 // (or crashing anywhere inside it and running it again next time) converges
-// to the same main journal. Called once before forking (to absorb leftovers
-// from a previous interrupted run, at whatever process count it used) and
-// once after the run.
+// to the same main journal. RunShardedResumable calls it before either
+// executor starts (to absorb leftovers from a crashed multi-process run, at
+// whatever process count it used), and RunWorkerProcesses again once every
+// worker is reaped.
 
 StatusOr<std::vector<std::string>> ListWorkerJournals(const std::string& checkpoint_path) {
   const size_t slash = checkpoint_path.find_last_of('/');
@@ -201,9 +201,15 @@ StatusOr<std::vector<std::string>> ListWorkerJournals(const std::string& checkpo
   return files;
 }
 
-Status ConsolidateWorkerJournals(const std::string& checkpoint_path,
-                                 const CheckpointHeader& expected, CheckpointWriter* writer,
-                                 std::vector<MarketRecord>* results, int* merged_markets) {
+}  // namespace
+
+std::string WorkerJournalPath(const std::string& checkpoint_path, int worker) {
+  return checkpoint_path + ".w" + std::to_string(worker);
+}
+
+Status ConsolidateWorkerJournals(const ShardRun& run, int* merged_markets) {
+  const std::string& checkpoint_path = run.options.checkpoint_path;
+  const CheckpointHeader& expected = run.header;
   PAD_ASSIGN_OR_RETURN(const std::vector<std::string> files,
                        ListWorkerJournals(checkpoint_path));
   std::vector<MarketRecord> incoming;
@@ -232,7 +238,7 @@ Status ConsolidateWorkerJournals(const std::string& checkpoint_path,
   std::sort(incoming.begin(), incoming.end(),
             [](const MarketRecord& a, const MarketRecord& b) { return a.market < b.market; });
   for (MarketRecord& record : incoming) {
-    MarketRecord& slot = (*results)[static_cast<size_t>(record.market)];
+    MarketRecord& slot = run.results[static_cast<size_t>(record.market)];
     if (slot.market == record.market) {
       // Seen before (main journal, another worker file, or a crash between a
       // previous merge's append and its unlink). Exactly-once is enforced
@@ -247,9 +253,7 @@ Status ConsolidateWorkerJournals(const std::string& checkpoint_path,
       }
       continue;
     }
-    if (writer != nullptr) {
-      PAD_RETURN_IF_ERROR(writer->Append(record));
-    }
+    PAD_RETURN_IF_ERROR(run.writer->Append(record));
     slot = std::move(record);
     ++*merged_markets;
   }
@@ -269,88 +273,24 @@ Status ConsolidateWorkerJournals(const std::string& checkpoint_path,
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator side.
+// Coordinator.
 
-struct WorkerSlot {
-  int index = -1;
-  pid_t pid = -1;
-  int fd = -1;  // Coordinator end, nonblocking. -1 once closed.
-  IpcChannelReader reader;
-  bool ready = false;          // Hello received.
-  bool alive = true;           // Not yet reaped.
-  bool channel_open = true;    // EOF/transport error not yet seen.
-  bool shutdown_sent = false;
-  bool stall_reported = false;
-  int assigned = -1;           // Outstanding market, -1 when idle.
-  double assigned_at_s = 0.0;  // Engine-relative assignment time.
-};
-
-}  // namespace
-
-std::string WorkerJournalPath(const std::string& checkpoint_path, int worker) {
-  return checkpoint_path + ".w" + std::to_string(worker);
-}
-
-std::string ValidateMultiprocOptions(const PadConfig& config,
-                                     const MultiprocEngineOptions& options) {
-  if (const std::string error = ValidateShardOptions(config, options.engine); !error.empty()) {
-    return error;
-  }
-  if (options.processes < 1) {
-    return "processes must be at least 1";
-  }
-  if (options.engine.checkpoint_path.empty()) {
-    return "multi-process execution requires checkpointing (worker journals are the result "
-           "transport and the crash-safety guarantee); set a checkpoint path";
-  }
-  if (options.stall_kill_s < 0.0) {
-    return "stall_kill_s must be non-negative (0 = disabled)";
-  }
-  return "";
-}
-
-StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
-                                                const MultiprocEngineOptions& options) {
-  if (const std::string error = ValidateMultiprocOptions(config, options); !error.empty()) {
-    return Status::InvalidArgument(error);
-  }
-
-  const PadConfig aligned = AlignInputsConfig(config);
-  const int64_t num_users = aligned.population.num_users;
-  const std::vector<int64_t> boundaries = MarketBoundaries(num_users, aligned.market_users);
+Status RunWorkerProcesses(const ShardRun& run, ShardedComparison* trace) {
+  const ShardEngineOptions& options = run.options;
+  const std::vector<int64_t>& boundaries = run.boundaries;
   const int num_markets = static_cast<int>(boundaries.size()) - 1;
-  const CheckpointHeader header =
-      JournalHeaderFor(aligned, num_markets, options.engine.run_baseline,
-                       options.engine.event_digests);
   const auto market_size = [&](int m) {
     return boundaries[static_cast<size_t>(m) + 1] - boundaries[static_cast<size_t>(m)];
   };
-
-  // Open/resume the main journal, then absorb leftover worker journals from
-  // any previous interrupted run (any process count) so workers start from
-  // clean files and the slots reflect everything already durable.
-  std::vector<MarketRecord> results(static_cast<size_t>(num_markets));
-  PAD_ASSIGN_OR_RETURN(ResumedJournal main_journal,
-                       OpenOrResumeJournal(options.engine.checkpoint_path, header,
-                                           options.engine.checkpoint_fsync));
-  int resumed = 0;
-  for (MarketRecord& record : main_journal.records) {
-    results[static_cast<size_t>(record.market)] = std::move(record);
-    ++resumed;
-  }
-  int merged_at_start = 0;
-  PAD_RETURN_IF_ERROR(ConsolidateWorkerJournals(options.engine.checkpoint_path, header,
-                                                main_journal.writer.get(), &results,
-                                                &merged_at_start));
-  resumed += merged_at_start;
+  std::vector<MarketRecord>& results = run.results;
 
   // Run-time completion bookkeeping. `completed` and `done_digest` are fed
   // by DONE messages and post-mortem journal reads; the record payloads
   // themselves only flow through journals (the pipe never carries metrics).
   std::vector<char> completed(static_cast<size_t>(num_markets), 0);
   std::vector<uint64_t> done_digest(static_cast<size_t>(num_markets), 0);
-  std::vector<int> market_workers(static_cast<size_t>(num_markets), -1);
-  std::vector<double> market_busy_s(static_cast<size_t>(num_markets), 0.0);
+  std::vector<int>& market_workers = trace->market_workers;
+  std::vector<double>& market_busy_s = trace->market_busy_s;
   std::set<int> pending;  // Markets not completed and not outstanding; sorted
                           // so assignment walks the population forward.
   for (int m = 0; m < num_markets; ++m) {
@@ -383,7 +323,7 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
 
   // Fork the pool — before this process creates ANY threads. Extra workers
   // beyond the market count would only fork and immediately shut down, so
-  // cap like the in-process engine caps lanes.
+  // cap like the in-process executor caps lanes.
   const int num_workers = std::max(1, std::min(options.processes, num_markets));
   std::vector<WorkerSlot> workers(static_cast<size_t>(num_workers));
   std::vector<int> coordinator_fds;  // For children to close.
@@ -426,7 +366,7 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
         ::close(fd);
       }
       ::close(pair->coordinator_fd);
-      ::_exit(WorkerMain(pair->worker_fd, i, aligned, boundaries, options.engine));
+      ::_exit(WorkerMain(pair->worker_fd, i, run));
     }
     ::close(pair->worker_fd);
     if (const Status status = SetNonBlocking(pair->coordinator_fd); !status.ok()) {
@@ -558,15 +498,15 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
     }
     ++workers_died;
     StatusOr<CheckpointContents> read =
-        ReadCheckpoint(WorkerJournalPath(options.engine.checkpoint_path, w.index));
+        ReadCheckpoint(WorkerJournalPath(options.checkpoint_path, w.index));
     if (!read.ok()) {
       if (read.status().code() != StatusCode::kNotFound) {
         return read.status();
       }
     } else if (read->has_header) {
       PAD_RETURN_IF_ERROR(
-          CheckJournalHeader(read->header, header,
-                             WorkerJournalPath(options.engine.checkpoint_path, w.index)));
+          CheckJournalHeader(read->header, run.header,
+                             WorkerJournalPath(options.checkpoint_path, w.index)));
       for (const MarketRecord& record : read->markets) {
         if (record.market < 0 || record.market >= num_markets) {
           return Status::DataLoss("dead worker journal holds market " +
@@ -623,8 +563,8 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
       // fits and the queue always drains.
       int chosen = -1;
       for (const int m : pending) {
-        if (options.engine.max_resident_users <= 0 ||
-            resident + market_size(m) <= options.engine.max_resident_users) {
+        if (options.max_resident_users <= 0 ||
+            resident + market_size(m) <= options.max_resident_users) {
           chosen = m;
           break;
         }
@@ -648,8 +588,8 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
   };
 
   while (true) {
-    if (!stop && options.engine.stop_requested != nullptr &&
-        options.engine.stop_requested->load()) {
+    if (!stop && options.stop_requested != nullptr &&
+        options.stop_requested->load()) {
       stop = true;
       interrupted = true;
     }
@@ -711,10 +651,10 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
         continue;
       }
       const double elapsed_s = now_s - w.assigned_at_s;
-      if (options.engine.market_watchdog_s > 0.0 && options.engine.on_stall &&
-          !w.stall_reported && elapsed_s > options.engine.market_watchdog_s) {
+      if (options.market_watchdog_s > 0.0 && options.on_stall &&
+          !w.stall_reported && elapsed_s > options.market_watchdog_s) {
         w.stall_reported = true;
-        options.engine.on_stall(w.index, w.assigned, elapsed_s);
+        options.on_stall(w.index, w.assigned, elapsed_s);
       }
       if (options.stall_kill_s > 0.0 && elapsed_s > options.stall_kill_s) {
         ::kill(w.pid, SIGKILL);
@@ -731,10 +671,9 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
   // Every worker is reaped; the journals are quiescent. Merge them into the
   // main journal NOW, before deciding how to exit — even an aborted run must
   // leave its completed markets durable in the main journal so the rerun
-  // (either engine) resumes instead of restarting.
+  // (either executor) resumes instead of restarting.
   int merged_at_end = 0;
-  latch(ConsolidateWorkerJournals(options.engine.checkpoint_path, header,
-                                  main_journal.writer.get(), &results, &merged_at_end));
+  latch(ConsolidateWorkerJournals(run, &merged_at_end));
   if (!run_error.ok()) {
     return run_error;
   }
@@ -763,27 +702,15 @@ StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
     }
   }
 
-  ShardedComparison merged;
-  merged.num_markets = num_markets;
-  merged.total_users = num_users;
-  merged.resumed_markets = resumed;
-  merged.interrupted = interrupted;
-  merged.worker_processes = num_workers;
-  merged.workers_died = workers_died;
-  merged.markets_reassigned = markets_reassigned;
-  merged.market_workers = std::move(market_workers);
-  merged.market_busy_s = std::move(market_busy_s);
-  std::set<int> distinct_workers;
-  for (const int w : merged.market_workers) {
-    if (w >= 0) {
-      distinct_workers.insert(w);
-    }
-  }
-  merged.workers_used = static_cast<int>(distinct_workers.size());
-  FoldMarketRecords(results, options.engine.run_baseline, options.engine.event_digests,
-                    &merged);
-  merged.peak_resident_users = peak_resident;
-  return merged;
+  trace->interrupted = interrupted;
+  trace->worker_processes = num_workers;
+  trace->workers_died = workers_died;
+  trace->markets_reassigned = markets_reassigned;
+  std::set<int> distinct_workers(market_workers.begin(), market_workers.end());
+  distinct_workers.erase(-1);  // Markets restored from a journal.
+  trace->workers_used = static_cast<int>(distinct_workers.size());
+  trace->peak_resident_users = peak_resident;
+  return Status::Ok();
 }
 
 }  // namespace pad

@@ -1,11 +1,14 @@
-// Multi-process sharded execution: a coordinator that forks worker
-// processes, hands out market ids over length-prefixed socketpair channels
-// (src/common/ipc.h), and merges results by replaying the workers' own
-// checkpoint journals.
+// The multi-process executor of the shard engine, behind
+// RunShardedResumable with ShardEngineOptions::processes >= 1: a coordinator
+// that forks worker processes, hands out market ids over length-prefixed
+// socketpair channels (src/common/ipc.h), and merges results by replaying the
+// workers' own checkpoint journals. The engine's prologue (partition, journal
+// open/resume, leftover worker-journal consolidation) and epilogue (the fold)
+// are shared with the in-process lanes and live in shard_engine.cc.
 //
-// Why processes when the shard engine already has threads: the in-process
-// engine dies as a unit — one OOM kill, one heap corruption, one stuck
-// syscall takes every lane's un-journaled work with it. Forked workers fail
+// Why processes when the shard engine already has threads: in-process lanes
+// die as a unit — one OOM kill, one heap corruption, one stuck syscall takes
+// every lane's un-journaled work with it. Forked workers fail
 // independently: a SIGKILLed worker costs at most the market it was
 // simulating, because everything it finished is already fsync'd in its own
 // journal. Process isolation also sidesteps allocator and page-cache
@@ -24,7 +27,7 @@
 //     (even if the DONE never arrived); only absent assignments are
 //     requeued to surviving workers. A market is therefore never
 //     double-counted and never lost — exactly-once by construction, and the
-//     proof is digest equality with the single-process engine;
+//     proof is digest equality with the in-process lanes;
 //   * the final merge is a pure journal replay: read every worker journal,
 //     dedupe by market id (digest equality enforced on any duplicate),
 //     append unseen records to the main journal, fsync, unlink the worker
@@ -32,84 +35,65 @@
 //     a state the next run consolidates to the same bytes.
 //
 // Because the main journal ends up holding every completed market in the
-// PR-4 format, runs are resumable ACROSS engines: a single-process run can
-// resume a multi-process journal and vice versa, at any {processes,
-// threads, shards, residency, schedule, steal_seed} — the fingerprint
-// covers only semantic config, never execution knobs.
+// core/checkpoint.h format, a journal is resumable at any {processes,
+// threads, shards, residency, schedule, steal_seed}, in-process lanes
+// included — the fingerprint covers only semantic config, never execution
+// knobs.
 //
 // Determinism: workers execute the same SimulateMarket the in-process lanes
-// do, and the coordinator folds records with the same FoldMarketRecords in
-// market-index order, so the merged totals and every digest are
-// byte-identical to RunShardedResumable for every tested combination,
-// including under fault injection and worker death
+// do, and the engine folds the records in market-index order either way, so
+// the merged totals and every digest are byte-identical at every process
+// count, including under fault injection and worker death
 // (tests/integration/multiproc_equivalence_test.cc,
 // tests/integration/crash_recovery_test.cc).
 #ifndef ADPAD_SRC_CORE_MULTIPROC_ENGINE_H_
 #define ADPAD_SRC_CORE_MULTIPROC_ENGINE_H_
 
-#include <sys/types.h>
-
-#include <functional>
 #include <string>
+#include <vector>
 
 #include "src/common/status.h"
+#include "src/core/checkpoint.h"
 #include "src/core/config.h"
 #include "src/core/shard_engine.h"
 
 namespace pad {
 
-struct MultiprocEngineOptions {
-  // Worker processes to fork. Must be >= 1 (1 still forks: the paths are
-  // identical, only the parallelism differs).
-  int processes = 1;
-
-  // The run itself. checkpoint_path is REQUIRED non-empty: worker journals
-  // (`<checkpoint_path>.w<i>`) are the result transport and the crash-safety
-  // story; there is no multi-process mode without them. threads / schedule /
-  // steal_seed are accepted (execution-only knobs never change results) but
-  // unused: each worker simulates its assignments single-threaded and the
-  // coordinator's queue is the schedule.
-  ShardEngineOptions engine;
-
-  // Coordinator-side worker watchdog: a worker whose CURRENT assignment has
-  // been outstanding longer than this is presumed wedged, SIGKILLed, reaped,
-  // and its journal tail re-verified like any other death. <= 0 disables.
-  // Distinct from engine.market_watchdog_s, which only *reports* (via
-  // engine.on_stall, called with lane = worker index).
-  double stall_kill_s = 0.0;
-
-  // Test hook: called in the coordinator after each successful fork. Lets
-  // crash tests aim a SIGKILL at a live worker mid-run.
-  std::function<void(int worker, pid_t pid)> on_worker_spawn;
+// What RunShardedResumable's prologue hands an executor. `results` holds one
+// slot per market; slot m holds market m's record iff its .market == m
+// (restored from the journals, or filled by the executor). `writer` appends
+// to the main journal; null without a checkpoint.
+struct ShardRun {
+  const PadConfig& aligned;
+  const std::vector<int64_t>& boundaries;
+  const CheckpointHeader& header;
+  const ShardEngineOptions& options;
+  CheckpointWriter* writer;
+  std::vector<MarketRecord>& results;
 };
 
 // The journal path worker `worker` appends to for a run checkpointing at
 // `checkpoint_path`.
 std::string WorkerJournalPath(const std::string& checkpoint_path, int worker);
 
-// Empty when valid, else a one-line description (engine options are checked
-// too, via ValidateShardOptions).
-std::string ValidateMultiprocOptions(const PadConfig& config,
-                                     const MultiprocEngineOptions& options);
+// Folds every `<checkpoint_path>.w<digits>` worker journal into run.results
+// and the main journal (run.writer, required), then removes the files. A
+// market already in its slot must carry the same digests (kDataLoss
+// otherwise); a journal of another experiment is refused with
+// kFailedPrecondition and left in place. Adds the number of newly merged
+// markets to *merged_markets.
+Status ConsolidateWorkerJournals(const ShardRun& run, int* merged_markets);
 
-// Runs the sharded comparison across forked worker processes. Byte-identical
-// to RunShardedResumable(config, options.engine) — same totals, same
-// per-market and combined digests — for any worker count, including runs
-// where workers die mid-flight. Status surface:
-//   * kInvalidArgument  — bad config/options (including processes < 1 or a
-//                         missing checkpoint_path);
-//   * kFailedPrecondition — a main or leftover worker journal belongs to a
-//                         different experiment (stale fingerprint): refused,
-//                         never clobbered;
-//   * kAborted          — every worker died and markets remain. Completed
-//                         markets are consolidated into the main journal
-//                         before returning, so rerunning the same command
-//                         (either engine) resumes instead of restarting;
-//   * kDataLoss / kUnavailable — journal or channel corruption.
-// MUST be called before the process creates any threads: the coordinator
-// forks, and forking a multithreaded process is undefined enough to matter.
-StatusOr<ShardedComparison> RunMultiprocSharded(const PadConfig& config,
-                                                const MultiprocEngineOptions& options);
+// Simulates every market whose slot is still empty on run.options.processes
+// forked workers (capped at the market count), consolidates their journals
+// into the slots and the main journal, and fills the execution trace of
+// *trace: market_workers and market_busy_s (sized by the caller),
+// worker_processes, workers_used, workers_died, markets_reassigned,
+// peak_resident_users and interrupted. Returns kAborted when every worker
+// died with markets remaining (completed markets are journaled first, so a
+// rerun resumes), kDataLoss / kUnavailable on journal or channel corruption.
+// Forks: the calling process must not have created any thread yet.
+Status RunWorkerProcesses(const ShardRun& run, ShardedComparison* trace);
 
 }  // namespace pad
 

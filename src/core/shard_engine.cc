@@ -1,11 +1,8 @@
 #include "src/core/shard_engine.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -13,22 +10,18 @@
 
 #include "src/apps/app_profile.h"
 #include "src/common/check.h"
+#include "src/common/clock.h"
+#include "src/common/rng.h"
 #include "src/common/task_scheduler.h"
 #include "src/core/checkpoint.h"
 #include "src/core/event_log.h"
+#include "src/core/multiproc_engine.h"
 #include "src/core/pad_simulation.h"
 #include "src/core/sweep.h"
 #include "src/trace/generator.h"
 
 namespace pad {
 namespace {
-
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 // Counting admission gate over resident users. A lane acquires its next
 // market's population before generating it and releases after the market's
@@ -84,20 +77,6 @@ PadConfig MarketConfig(const PadConfig& aligned, int market, int64_t lo, int64_t
                                         static_cast<double>(total_users);
   }
   return config;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-// CPU time consumed by the calling thread. Per-market costs are measured on
-// this clock so per-worker sums report true load balance even when workers
-// outnumber cores and wall clock would charge preemption to whoever held the
-// core last.
-double ThreadCpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 // Worker count: shards and threads are aliases for the same resource (the
@@ -242,41 +221,39 @@ std::string ValidateShardOptions(const PadConfig& config, const ShardEngineOptio
   if (options.market_watchdog_s < 0.0) {
     return "market_watchdog_s must be non-negative (0 = disabled)";
   }
+  if (options.processes < 0) {
+    return "processes must be non-negative (0 = in-process lanes)";
+  }
+  if (options.processes > 0 && options.checkpoint_path.empty()) {
+    return "multi-process execution requires checkpointing (worker journals are the result "
+           "transport and the crash-safety guarantee); set a checkpoint path";
+  }
+  if (options.stall_kill_s < 0.0) {
+    return "stall_kill_s must be non-negative (0 = disabled)";
+  }
+  if (options.stall_kill_s > 0.0 && options.processes == 0) {
+    return "stall_kill_s requires processes >= 1 (in-process lanes are never killed)";
+  }
   return "";
 }
 
-StatusOr<ShardedComparison> RunShardedResumable(const PadConfig& config,
-                                                const ShardEngineOptions& options) {
-  if (const std::string error = ValidateShardOptions(config, options); !error.empty()) {
-    return Status::InvalidArgument(error);
-  }
+namespace {
 
-  const PadConfig aligned = AlignInputsConfig(config);
-  const int64_t num_users = aligned.population.num_users;
-  const std::vector<int64_t> boundaries = MarketBoundaries(num_users, aligned.market_users);
+// The in-process executor: markets are tasks on the work-stealing scheduler.
+// Each lane owns the contiguous range [lane*M/W, (lane+1)*M/W) as its deque
+// and drains it front to back, so its own PopulationStream walks users
+// strictly forward (SeekUsers degenerates to a no-op between adjacent
+// markets and the per-lane replay cost stays O(num_users) on the no-steal
+// path). A stolen market — or a market restored from the journal mid-range —
+// just reseeks: forward by skipping, backward by replaying the parameter
+// stream from user 0, both bit-identical to sequential generation. Under
+// schedule=static no stealing happens and every lane runs exactly its
+// initial range, the A/B baseline.
+Status RunOnLanes(const ShardRun& run, ShardedComparison* trace) {
+  const ShardEngineOptions& options = run.options;
+  const std::vector<int64_t>& boundaries = run.boundaries;
   const int num_markets = static_cast<int>(boundaries.size()) - 1;
-
   const int lanes = ResolveWorkers(options, num_markets);
-
-  // Per-market result slots: restored from the journal or filled by a lane.
-  // Slot m holds a finished market iff its .market == m (plain bytes written
-  // by at most one thread each, read after the pool joins).
-  std::vector<MarketRecord> results(static_cast<size_t>(num_markets));
-  int resumed = 0;
-
-  std::unique_ptr<CheckpointWriter> writer;
-  if (!options.checkpoint_path.empty()) {
-    const CheckpointHeader header =
-        JournalHeaderFor(aligned, num_markets, options.run_baseline, options.event_digests);
-    PAD_ASSIGN_OR_RETURN(ResumedJournal journal,
-                         OpenOrResumeJournal(options.checkpoint_path, header,
-                                             options.checkpoint_fsync));
-    writer = std::move(journal.writer);
-    for (MarketRecord& record : journal.records) {
-      results[static_cast<size_t>(record.market)] = std::move(record);
-      ++resumed;
-    }
-  }
 
   // Journal appends are serialized; the first I/O failure is latched and
   // fails the whole run (a checkpoint that silently stopped recording would
@@ -285,7 +262,6 @@ StatusOr<ShardedComparison> RunShardedResumable(const PadConfig& config,
   Status journal_status;  // Guarded by journal_mutex.
 
   ResidencyGate gate(options.max_resident_users);
-  std::atomic<bool> interrupted{false};
 
   // Watchdog: a monitor thread polling per-lane progress slots. Pure
   // observability — a stalled market keeps running (killing it would break
@@ -320,49 +296,37 @@ StatusOr<ShardedComparison> RunShardedResumable(const PadConfig& config,
     });
   }
 
-  // Markets are tasks on the work-stealing scheduler: each worker owns the
-  // contiguous range [lane*M/W, (lane+1)*M/W) as its deque and drains it
-  // front to back, so its own PopulationStream walks users strictly forward
-  // (SeekUsers degenerates to a no-op between adjacent markets and the
-  // per-worker replay cost stays O(num_users) on the no-steal path). A
-  // stolen market — or a market restored from the journal mid-range — just
-  // reseeks: forward by skipping, backward by replaying the parameter stream
-  // from user 0, both bit-identical to sequential generation. Under
-  // schedule=static no stealing happens and every worker runs exactly its
-  // initial range, the A/B baseline.
   std::vector<std::unique_ptr<PopulationStream>> streams;
   streams.reserve(static_cast<size_t>(lanes));
   for (int lane = 0; lane < lanes; ++lane) {
-    streams.push_back(std::make_unique<PopulationStream>(aligned.population));
+    streams.push_back(std::make_unique<PopulationStream>(run.aligned.population));
   }
-  // Scheduler execution trace, one writer per market (its executor), read
-  // after the scheduler joins.
-  std::vector<int> market_workers(static_cast<size_t>(num_markets), -1);
-  std::vector<double> market_busy_s(static_cast<size_t>(num_markets), 0.0);
 
+  // Each result slot and trace entry has one writer (the market's executor)
+  // and is read after the scheduler joins.
   const auto run_market = [&](int lane, int64_t task) {
     const int m = static_cast<int>(task);
-    if (results[static_cast<size_t>(m)].market == m) {
+    MarketRecord& slot = run.results[static_cast<size_t>(m)];
+    if (slot.market == m) {
       return;  // Restored from the journal; nothing to simulate.
     }
-    const int64_t lo = boundaries[static_cast<size_t>(m)];
-    const int64_t hi = boundaries[static_cast<size_t>(m) + 1];
-    gate.Acquire(hi - lo);
+    const int64_t users =
+        boundaries[static_cast<size_t>(m) + 1] - boundaries[static_cast<size_t>(m)];
+    gate.Acquire(users);
     watch[static_cast<size_t>(lane)].start_ms.store(now_ms());
     watch[static_cast<size_t>(lane)].market.store(m);
     const double busy_start = ThreadCpuSeconds();
-    results[static_cast<size_t>(m)] =
-        SimulateMarket(aligned, boundaries, m, *streams[static_cast<size_t>(lane)],
-                       options.run_baseline, options.event_digests);
-    market_busy_s[static_cast<size_t>(m)] = ThreadCpuSeconds() - busy_start;
-    market_workers[static_cast<size_t>(m)] = lane;
+    slot = SimulateMarket(run.aligned, boundaries, m, *streams[static_cast<size_t>(lane)],
+                          options.run_baseline, options.event_digests);
+    trace->market_busy_s[static_cast<size_t>(m)] = ThreadCpuSeconds() - busy_start;
+    trace->market_workers[static_cast<size_t>(m)] = lane;
     watch[static_cast<size_t>(lane)].market.store(-1);
-    gate.Release(hi - lo);
+    gate.Release(users);
 
-    if (writer != nullptr) {
+    if (run.writer != nullptr) {
       std::lock_guard<std::mutex> lock(journal_mutex);
       if (journal_status.ok()) {
-        journal_status = writer->Append(results[static_cast<size_t>(m)]);
+        journal_status = run.writer->Append(slot);
       }
     }
   };
@@ -373,28 +337,69 @@ StatusOr<ShardedComparison> RunShardedResumable(const PadConfig& config,
   scheduler_options.stop_requested = options.stop_requested;
   const TaskSchedulerStats scheduler_stats =
       RunTaskQueues(PartitionTasks(num_markets, lanes), run_market, scheduler_options);
-  interrupted.store(interrupted.load() || scheduler_stats.interrupted);
 
   watch_done.store(true);
   if (watchdog.joinable()) {
     watchdog.join();
   }
   PAD_RETURN_IF_ERROR(journal_status);
+  trace->interrupted = scheduler_stats.interrupted;
+  trace->workers_used = scheduler_stats.workers;
+  trace->tasks_stolen = scheduler_stats.stolen;
+  trace->peak_resident_users = gate.peak();
+  return Status::Ok();
+}
 
-  // Fold in market-index order — never completion order — so the totals and
-  // every combined digest are independent of scheduling AND of which side of
-  // a crash each market was simulated on.
+}  // namespace
+
+StatusOr<ShardedComparison> RunShardedResumable(const PadConfig& config,
+                                                const ShardEngineOptions& options) {
+  if (const std::string error = ValidateShardOptions(config, options); !error.empty()) {
+    return Status::InvalidArgument(error);
+  }
+
+  const PadConfig aligned = AlignInputsConfig(config);
+  const std::vector<int64_t> boundaries =
+      MarketBoundaries(aligned.population.num_users, aligned.market_users);
+  const int num_markets = static_cast<int>(boundaries.size()) - 1;
+  const CheckpointHeader header =
+      JournalHeaderFor(aligned, num_markets, options.run_baseline, options.event_digests);
+
   ShardedComparison merged;
   merged.num_markets = num_markets;
-  merged.total_users = num_users;
-  merged.resumed_markets = resumed;
-  merged.interrupted = interrupted.load();
-  merged.market_workers = std::move(market_workers);
-  merged.market_busy_s = std::move(market_busy_s);
-  merged.workers_used = scheduler_stats.workers;
-  merged.tasks_stolen = scheduler_stats.stolen;
+  merged.total_users = aligned.population.num_users;
+  merged.market_workers.assign(static_cast<size_t>(num_markets), -1);
+  merged.market_busy_s.assign(static_cast<size_t>(num_markets), 0.0);
+
+  // Per-market result slots: restored from the journals or filled by the
+  // executor. Slot m holds a finished market iff its .market == m.
+  std::vector<MarketRecord> results(static_cast<size_t>(num_markets));
+  std::unique_ptr<CheckpointWriter> writer;
+  if (!options.checkpoint_path.empty()) {
+    PAD_ASSIGN_OR_RETURN(ResumedJournal journal,
+                         OpenOrResumeJournal(options.checkpoint_path, header,
+                                             options.checkpoint_fsync));
+    writer = std::move(journal.writer);
+    for (MarketRecord& record : journal.records) {
+      results[static_cast<size_t>(record.market)] = std::move(record);
+      ++merged.resumed_markets;
+    }
+  }
+  const ShardRun run{aligned, boundaries, header, options, writer.get(), results};
+  if (writer != nullptr) {
+    // Absorb the worker journals a crashed multi-process run left behind, at
+    // whatever process count it used, so neither executor re-simulates their
+    // markets and new workers start from clean files.
+    PAD_RETURN_IF_ERROR(ConsolidateWorkerJournals(run, &merged.resumed_markets));
+  }
+
+  PAD_RETURN_IF_ERROR(options.processes > 0 ? RunWorkerProcesses(run, &merged)
+                                            : RunOnLanes(run, &merged));
+
+  // Fold in market-index order — never completion order — so the totals and
+  // every combined digest are independent of scheduling, of the executor,
+  // and of which side of a crash each market was simulated on.
   FoldMarketRecords(results, options.run_baseline, options.event_digests, &merged);
-  merged.peak_resident_users = gate.peak();
   return merged;
 }
 

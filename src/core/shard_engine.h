@@ -22,10 +22,11 @@
 //     equivalence test enforces.
 //
 //   * ShardEngineOptions (shards, threads, schedule, steal_seed,
-//     max_resident_users) are EXECUTION-ONLY. For a fixed config, every
-//     metric and event-log digest is byte-identical for any worker count,
-//     schedule (static or work-stealing), steal seed, and residency budget —
-//     including under fault injection. This extends the sweep engine's
+//     max_resident_users, processes) are EXECUTION-ONLY. For a fixed config,
+//     every metric and event-log digest is byte-identical for any worker
+//     count, schedule (static or work-stealing), steal seed, residency
+//     budget, and in-process lanes vs forked worker processes — including
+//     under fault injection. This extends the sweep engine's
 //     determinism contract and holds for the same reasons: every market job
 //     is hermetic (its own RNG streams replayed from the population seed,
 //     its own exchange/server/clients), and results are slotted by market
@@ -40,10 +41,19 @@
 // merged totals and digests match an uninterrupted run byte for byte, at any
 // shard/thread/residency setting on either side of the crash.
 //
-// tests/integration/shard_equivalence_test.cc enforces the execution-knob
-// half; tests/integration/crash_recovery_test.cc the crash half.
+// RunShardedResumable is the one entry point. It validates, partitions,
+// opens the journal and fills the result slots, hands the missing markets to
+// one of two executors — in-process lanes on the work-stealing scheduler
+// (processes == 0), or forked worker processes (core/multiproc_engine.h) —
+// and folds the slots once.
+//
+// tests/integration/shard_equivalence_test.cc and
+// multiproc_equivalence_test.cc enforce the execution-knob half;
+// tests/integration/crash_recovery_test.cc the crash half.
 #ifndef ADPAD_SRC_CORE_SHARD_ENGINE_H_
 #define ADPAD_SRC_CORE_SHARD_ENGINE_H_
+
+#include <sys/types.h>
 
 #include <atomic>
 #include <cstdint>
@@ -75,10 +85,10 @@ enum class ScheduleMode {
 };
 
 struct ShardEngineOptions {
-  // Worker lanes, each an OS thread owning a deque of markets and its own
-  // PopulationStream. `shards` and `threads` are historical aliases for the
-  // same resource and the engine runs max(shards, threads) workers (capped
-  // at the market count); 0 in either asks the hardware.
+  // In-process worker lanes, each an OS thread owning a deque of markets and
+  // its own PopulationStream. `shards` and `threads` are historical aliases
+  // for the same resource and the engine runs max(shards, threads) workers
+  // (capped at the market count); 0 in either asks the hardware.
   int shards = 1;
   int threads = 1;
   // Market hand-off policy. Execution-only, like every knob below: results
@@ -107,6 +117,22 @@ struct ShardEngineOptions {
   // whatever survives still CRC-validates.
   bool checkpoint_fsync = true;
 
+  // Worker processes. 0 runs the markets on the in-process lanes above.
+  // N >= 1 forks N workers (capped at the market count) that simulate one
+  // market at a time and journal it to `<checkpoint_path>.w<i>`, so it
+  // requires checkpoint_path; shards, threads, schedule and steal_seed then
+  // go unused. A run with N >= 1 forks, so it MUST start before the calling
+  // process creates any thread.
+  int processes = 0;
+  // Multi-process only: a worker whose current market has been outstanding
+  // longer than this is presumed wedged, SIGKILLed and reaped, and its
+  // journal decides what it finished. 0 disables. Rejected with
+  // processes == 0: in-process lanes are never killed.
+  double stall_kill_s = 0.0;
+  // Test hook, multi-process only: called in the coordinator after each
+  // fork, so crash tests can aim a SIGKILL at a live worker.
+  std::function<void(int worker, pid_t pid)> on_worker_spawn;
+
   // Graceful-shutdown flag, polled between markets. When it flips true, every
   // lane finishes the market it is simulating (journaling it as usual) and
   // stops taking new ones; the run returns with interrupted = true and the
@@ -114,8 +140,8 @@ struct ShardEngineOptions {
   const std::atomic<bool>* stop_requested = nullptr;
 
   // Watchdog: a market whose wall-clock time exceeds this budget is reported
-  // through on_stall (observability only — the market keeps running, since
-  // killing it would break determinism). <= 0 disables.
+  // through on_stall, with the lane or worker process index (observability
+  // only — the market keeps running; see stall_kill_s). <= 0 disables.
   double market_watchdog_s = 0.0;
   std::function<void(int lane, int market, double elapsed_s)> on_stall;
 };
@@ -155,10 +181,10 @@ struct ShardedComparison {
   int workers_used = 0;
   int64_t tasks_stolen = 0;             // Markets run by a non-initial owner.
 
-  // Multi-process execution trace (core/multiproc_engine.h); zero under the
-  // in-process engine. workers_died counts worker processes that exited or
-  // were killed before draining their assignments; markets_reassigned counts
-  // assignments that had to be handed to a surviving worker.
+  // Multi-process execution trace; zero with processes == 0. workers_died
+  // counts worker processes that exited or were killed before draining their
+  // assignments; markets_reassigned counts assignments that had to be handed
+  // to a surviving worker.
   int worker_processes = 0;
   int workers_died = 0;
   int64_t markets_reassigned = 0;
@@ -171,15 +197,21 @@ struct ShardedComparison {
   bool interrupted = false;
 };
 
-// Checks the engine options against the config (budget at least one market,
-// sane counts). Empty string when valid, else a one-line description.
+// Checks the config and the engine options against it (budget at least one
+// market, sane counts, processes >= 1 only with a checkpoint path). Empty
+// string when valid, else a one-line description.
 std::string ValidateShardOptions(const PadConfig& config, const ShardEngineOptions& options);
 
 // Runs the streaming sharded simulation with the full robustness surface:
-// checkpoint/resume, graceful shutdown, and the watchdog. Validation and I/O
-// failures come back as Status (kInvalidArgument for bad config/options,
-// kFailedPrecondition for a stale checkpoint fingerprint, kNotFound /
-// kUnavailable for journal I/O) — never an abort.
+// checkpoint/resume, graceful shutdown, the watchdog, and worker processes.
+// With a checkpoint path, leftover `<path>.w<i>` worker journals of a crashed
+// multi-process run are merged in first, whatever `processes` is now.
+// Validation and I/O failures come back as Status (kInvalidArgument for bad
+// config/options, kFailedPrecondition for a stale checkpoint fingerprint,
+// kNotFound / kUnavailable for journal I/O, kAborted when every worker
+// process died with markets left, kDataLoss for inconsistent journals) —
+// never an abort. With processes >= 1 it forks: call it before the process
+// creates any thread.
 StatusOr<ShardedComparison> RunShardedResumable(const PadConfig& config,
                                                 const ShardEngineOptions& options = {});
 
@@ -195,22 +227,22 @@ std::vector<int64_t> MarketBoundaries(int64_t num_users, int64_t market_users);
 
 // The journal header describing a run of `aligned` (config fingerprint,
 // population, partition, result flags) — what OpenOrResumeJournal checks an
-// existing journal against. Both engines and the multi-process workers build
-// their headers through this one function so "same experiment" has a single
+// existing journal against. The engine and its worker processes build their
+// headers through this one function so "same experiment" has a single
 // definition.
 CheckpointHeader JournalHeaderFor(const PadConfig& aligned, int num_markets, bool run_baseline,
                                   bool event_digests);
 
 // Simulates ONE market end to end — seek the stream to the market's first
 // user, generate its traces, run baseline+PAD, digest — and returns the
-// completed record. This is the hermetic unit both engines execute: the
-// in-process scheduler runs it on a lane thread, the multi-process worker
-// (core/multiproc_engine.h) runs it in a forked child, and because it
-// depends only on (`aligned`, `boundaries`, `market`, flags) — never on who
-// runs it or in what order — the two engines are byte-identical by
-// construction. `aligned` must already be AlignInputsConfig'd; `stream` must
-// be built over aligned.population (any position; the seek is bit-identical
-// to sequential generation).
+// completed record. This is the hermetic unit both executors run: the
+// in-process scheduler on a lane thread, the multi-process worker
+// (core/multiproc_engine.h) in a forked child, and because it depends only
+// on (`aligned`, `boundaries`, `market`, flags) — never on who runs it or in
+// what order — the two are byte-identical by construction. `aligned` must
+// already be AlignInputsConfig'd; `stream` must be built over
+// aligned.population (any position; the seek is bit-identical to sequential
+// generation).
 MarketRecord SimulateMarket(const PadConfig& aligned, const std::vector<int64_t>& boundaries,
                             int market, PopulationStream& stream, bool run_baseline,
                             bool event_digests);
@@ -218,9 +250,9 @@ MarketRecord SimulateMarket(const PadConfig& aligned, const std::vector<int64_t>
 // Folds completed market records (slot m holds market m's record iff its
 // .market == m; untouched slots keep the default -1) in market-index order —
 // never completion order — into `merged`'s totals, session/time aggregates,
-// and per-market + combined digests. Shared by both engines so the reduction
-// is one piece of code: the exactly-once proof compares digests produced by
-// this exact fold. Consumes the records (metric payloads are moved out).
+// and per-market + combined digests. The engine's one reduction, whichever
+// executor ran the markets: the exactly-once proof compares digests produced
+// by this exact fold. Consumes the records (metric payloads are moved out).
 void FoldMarketRecords(std::vector<MarketRecord>& records, bool run_baseline,
                        bool event_digests, ShardedComparison* merged);
 

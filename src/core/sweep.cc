@@ -5,6 +5,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/check.h"
+#include "src/common/rng.h"
 #include "src/common/task_scheduler.h"
 
 namespace pad {
@@ -24,13 +25,6 @@ uint64_t DigestOf(const auto& result) {
   Fnv1a digest;
   VisitMetrics(result, [&digest](auto field) { digest.Mix(field); });
   return digest.value();
-}
-
-uint64_t SplitMix64(uint64_t& state) {
-  uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
 #include "src/common/units.h"
 
 namespace pad {
@@ -11,11 +12,8 @@ namespace {
 
 // Cheap deterministic hash -> [0, 1) for per-user jitter.
 double UnitHash(int client_id) {
-  uint64_t x = static_cast<uint64_t>(static_cast<uint32_t>(client_id)) + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
+  uint64_t state = static_cast<uint32_t>(client_id);
+  return static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
 }
 
 double WrapHour(double h) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "src/common/rng.h"
 #include "src/core/faults.h"
 
 namespace pad {
@@ -41,7 +42,7 @@ Status ValidateChaosConfig(const ChaosConfig& config) {
 ChaosPlan::ChaosPlan(const ChaosConfig& config, uint64_t seed)
     : config_(config),
       // Domain-separate from FaultPlan and every other consumer of the seed.
-      seed_(DetMix64(seed ^ 0xc4a05c4a05ull)),
+      seed_(Mix64(seed ^ 0xc4a05c4a05ull)),
       enabled_(config.AnyEnabled()) {}
 
 double ChaosPlan::Draw(Channel channel, int64_t connection_id, int64_t index) const {

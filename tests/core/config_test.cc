@@ -129,6 +129,19 @@ TEST(ValidateConfigTest, RejectsNegativeWarmup) {
   EXPECT_TRUE(MessageNames(ValidateConfig(config), "warmup_days"));
 }
 
+TEST(ValidateConfigTest, RejectsHorizonInsideWarmup) {
+  PadConfig config;
+  config.warmup_days = 7;
+  config.population.horizon_s = 3.0 * kDay;
+  EXPECT_TRUE(MessageNames(ValidateConfig(config), "population.horizon_s"));
+  EXPECT_TRUE(MessageNames(ValidateConfig(config), "warmup_days"));
+  // A horizon ending exactly at the warmup scores nothing either.
+  config.population.horizon_s = 7.0 * kDay;
+  EXPECT_TRUE(MessageNames(ValidateConfig(config), "warmup_days"));
+  config.population.horizon_s = 8.0 * kDay;
+  EXPECT_EQ(ValidateConfig(config), "");
+}
+
 TEST(ValidateConfigTest, RejectsEmptyPopulationAndBadSegments) {
   PadConfig config;
   config.population.num_users = 0;

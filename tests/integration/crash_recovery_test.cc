@@ -431,19 +431,11 @@ TEST(CrashRecoveryTest, WatchdogReportsLongMarkets) {
 // held. The journals carry everything it finished, the coordinator requeues
 // the rest, and the merged result is still byte-identical to the golden.
 
-MultiprocEngineOptions MultiprocOptions(int processes, const std::string& path) {
-  MultiprocEngineOptions options;
+ShardEngineOptions MultiprocOptions(int processes, const std::string& path) {
+  ShardEngineOptions options = BaseOptions();
   options.processes = processes;
-  options.engine = BaseOptions();
-  options.engine.checkpoint_path = path;
+  options.checkpoint_path = path;
   return options;
-}
-
-ShardedComparison MustRunMultiproc(const PadConfig& config,
-                                   const MultiprocEngineOptions& options) {
-  StatusOr<ShardedComparison> result = RunMultiprocSharded(config, options);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return *std::move(result);
 }
 
 TEST(CrashRecoveryTest, MultiprocWorkerSigkillMidRunMatchesGolden) {
@@ -459,7 +451,7 @@ TEST(CrashRecoveryTest, MultiprocWorkerSigkillMidRunMatchesGolden) {
     // Aim a SIGKILL at worker 0 mid-market. The killer thread starts only
     // once the LAST worker is forked, so every fork still happens from a
     // single-threaded coordinator; by then worker 0 is deep in simulation.
-    MultiprocEngineOptions options = MultiprocOptions(2, path);
+    ShardEngineOptions options = MultiprocOptions(2, path);
     pid_t victim = -1;
     std::thread killer;
     options.on_worker_spawn = [&](int worker, pid_t pid) {
@@ -474,7 +466,7 @@ TEST(CrashRecoveryTest, MultiprocWorkerSigkillMidRunMatchesGolden) {
         });
       }
     };
-    const ShardedComparison run = MustRunMultiproc(config, options);
+    const ShardedComparison run = MustRun(config, options);
     if (killer.joinable()) {
       killer.join();
     }
@@ -493,13 +485,13 @@ TEST(CrashRecoveryTest, MultiprocWorkerKilledAtSpawnIsAbsorbed) {
 
   // Kill worker 0 straight out of fork — likely before its HELLO, possibly
   // before its journal header. The survivor simulates everything.
-  MultiprocEngineOptions options = MultiprocOptions(2, path);
+  ShardEngineOptions options = MultiprocOptions(2, path);
   options.on_worker_spawn = [](int worker, pid_t pid) {
     if (worker == 0) {
       kill(pid, SIGKILL);
     }
   };
-  const ShardedComparison run = MustRunMultiproc(config, options);
+  const ShardedComparison run = MustRun(config, options);
   ExpectSameResult(golden, run);
   EXPECT_EQ(1, run.workers_died);
   EXPECT_FALSE(std::ifstream(WorkerJournalPath(path, 0)).good())
@@ -528,21 +520,21 @@ TEST(CrashRecoveryTest, AllWorkersDeadAbortsThenResumes) {
   // and 3 stay pending, and the engine reports Aborted — the scriptable
   // "worker died, rerun to resume" exit class — rather than tearing down
   // the journal or fabricating a result.
-  MultiprocEngineOptions options = MultiprocOptions(1, path);
+  ShardEngineOptions options = MultiprocOptions(1, path);
   options.on_worker_spawn = [](int /*worker*/, pid_t pid) { kill(pid, SIGKILL); };
-  StatusOr<ShardedComparison> aborted = RunMultiprocSharded(config, options);
+  StatusOr<ShardedComparison> aborted = RunShardedResumable(config, options);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(StatusCode::kAborted, aborted.status().code());
   EXPECT_EQ(6, ExitCodeFor(aborted.status()));
 
   // "Rerun the same command to resume": the same multiproc invocation,
   // minus the kill, picks up the two journaled markets and finishes.
-  MultiprocEngineOptions retry = MultiprocOptions(1, path);
-  const ShardedComparison finished = MustRunMultiproc(config, retry);
+  ShardEngineOptions retry = MultiprocOptions(1, path);
+  const ShardedComparison finished = MustRun(config, retry);
   EXPECT_EQ(2, finished.resumed_markets);
   ExpectSameResult(golden, finished);
 
-  // And so does the single-process engine, off the same journal.
+  // And so do in-process lanes, off the same journal.
   WriteFileBytes(path, bytes.substr(0, frames[3]));
   ShardEngineOptions single = BaseOptions();
   single.checkpoint_path = path;
@@ -573,7 +565,7 @@ TEST(CrashRecoveryTest, StaleWorkerJournalIsRefusedNotMerged) {
   WriteFileBytes(WorkerJournalPath(path, 0), donor_bytes);
 
   StatusOr<ShardedComparison> refused =
-      RunMultiprocSharded(reseeded, MultiprocOptions(2, path));
+      RunShardedResumable(reseeded, MultiprocOptions(2, path));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(StatusCode::kFailedPrecondition, refused.status().code());
   EXPECT_EQ(donor_bytes, ReadFileBytes(WorkerJournalPath(path, 0)))
@@ -582,6 +574,45 @@ TEST(CrashRecoveryTest, StaleWorkerJournalIsRefusedNotMerged) {
   std::remove(WorkerJournalPath(path, 0).c_str());
   std::remove(path.c_str());
   std::remove(donor.c_str());
+}
+
+// A coordinator that crashed before its final merge leaves worker journals
+// beside the main one. A rerun on in-process lanes must absorb them like a
+// multi-process rerun does: count their markets as resumed, fold them into
+// the main journal, remove the worker files, and simulate only the rest.
+TEST(CrashRecoveryTest, InProcessRerunAbsorbsLeftoverWorkerJournal) {
+  const PadConfig config = TestConfig();
+  const std::string full_path = TempPath("lanes_absorb_full_" + std::to_string(getpid()) + ".ckpt");
+  std::remove(full_path.c_str());
+  ShardEngineOptions writer_options = BaseOptions();
+  writer_options.checkpoint_path = full_path;
+  const ShardedComparison golden = MustRun(config, writer_options);
+  const std::string bytes = ReadFileBytes(full_path);
+  const std::vector<size_t> frames = FrameBoundaries(bytes);
+  ASSERT_EQ(6u, frames.size());  // Header + 4 market records.
+
+  // Main journal: header + markets 0 and 1. Worker journal `.w0`: header +
+  // market 2, as a worker leaves it after journaling its assignment.
+  const std::string path = TempPath("lanes_absorb_" + std::to_string(getpid()) + ".ckpt");
+  WriteFileBytes(path, bytes.substr(0, frames[3]));
+  WriteFileBytes(WorkerJournalPath(path, 0),
+                 bytes.substr(0, frames[1]) + bytes.substr(frames[3], frames[4] - frames[3]));
+
+  ShardEngineOptions lanes = BaseOptions();
+  lanes.checkpoint_path = path;
+  const ShardedComparison rerun = MustRun(config, lanes);
+  EXPECT_EQ(3, rerun.resumed_markets);
+  ExpectSameResult(golden, rerun);
+  EXPECT_FALSE(std::ifstream(WorkerJournalPath(path, 0)).good())
+      << "an absorbed worker journal must be unlinked";
+  // Market 3 was the only one simulated; the main journal now holds all four.
+  EXPECT_EQ(std::vector<int>({-1, -1, -1, 0}), rerun.market_workers);
+  StatusOr<CheckpointContents> merged = ReadCheckpoint(path);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(4u, merged->markets.size());
+
+  std::remove(path.c_str());
+  std::remove(full_path.c_str());
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// The determinism half of the multi-process engine's contract
-// (src/core/multiproc_engine.h): RunMultiprocSharded is byte-identical to
-// the in-process RunShardedResumable — same totals, same per-market and
-// combined digests — at every worker count, under fault injection and wifi
-// offload, within any residency budget, and across resume in BOTH
-// directions (a multi-process journal finished by the single-process
-// engine and vice versa), because the config fingerprint covers semantic
-// knobs only, never `processes=`. The crash/death half lives in
+// The determinism half of the multi-process executor's contract
+// (src/core/multiproc_engine.h): RunShardedResumable with processes >= 1 is
+// byte-identical to the in-process lanes (processes == 0) — same totals,
+// same per-market and combined digests — at every worker count, under fault
+// injection and wifi offload, within any residency budget, and across
+// resume in BOTH directions (a multi-process journal finished by in-process
+// lanes and vice versa), because the config fingerprint covers semantic
+// knobs only, never `processes`. The crash/death half lives in
 // crash_recovery_test.cc.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -63,11 +63,10 @@ ShardEngineOptions BaseOptions() {
   return options;
 }
 
-MultiprocEngineOptions MultiprocOptions(int processes, const std::string& path) {
-  MultiprocEngineOptions options;
+ShardEngineOptions MultiprocOptions(int processes, const std::string& path) {
+  ShardEngineOptions options = BaseOptions();
   options.processes = processes;
-  options.engine = BaseOptions();
-  options.engine.checkpoint_path = path;
+  options.checkpoint_path = path;
   return options;
 }
 
@@ -88,13 +87,6 @@ void ExpectSameResult(const ShardedComparison& golden, const ShardedComparison& 
 
 ShardedComparison MustRun(const PadConfig& config, const ShardEngineOptions& options) {
   StatusOr<ShardedComparison> result = RunShardedResumable(config, options);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return *std::move(result);
-}
-
-ShardedComparison MustRunMultiproc(const PadConfig& config,
-                                   const MultiprocEngineOptions& options) {
-  StatusOr<ShardedComparison> result = RunMultiprocSharded(config, options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return *std::move(result);
 }
@@ -124,7 +116,7 @@ TEST(MultiprocEquivalenceTest, MatchesSingleProcessAcrossWorkerCounts) {
     const std::string path = TempPath("mp_count_" + std::to_string(processes) + ".ckpt");
     std::remove(path.c_str());
 
-    const ShardedComparison run = MustRunMultiproc(config, MultiprocOptions(processes, path));
+    const ShardedComparison run = MustRun(config, MultiprocOptions(processes, path));
     ExpectSameResult(golden, run);
     // Workers are capped at the market count: processes=8 over 4 markets
     // forks 4.
@@ -151,7 +143,7 @@ TEST(MultiprocEquivalenceTest, MatchesUnderFaultInjectionAndWifi) {
     const ShardedComparison golden = MustRun(config, BaseOptions());
     const std::string path = TempPath("mp_variant_" + std::to_string(variant) + ".ckpt");
     std::remove(path.c_str());
-    ExpectSameResult(golden, MustRunMultiproc(config, MultiprocOptions(3, path)));
+    ExpectSameResult(golden, MustRun(config, MultiprocOptions(3, path)));
     ExpectNoWorkerJournals(path);
     std::remove(path.c_str());
     ++variant;
@@ -166,9 +158,9 @@ TEST(MultiprocEquivalenceTest, ResidencyBudgetHoldsAcrossProcesses) {
 
   // Budget admits two 30-user markets at once; the coordinator's admission
   // gate must hold the SUM across live workers under it.
-  MultiprocEngineOptions options = MultiprocOptions(3, path);
-  options.engine.max_resident_users = 60;
-  const ShardedComparison run = MustRunMultiproc(config, options);
+  ShardEngineOptions options = MultiprocOptions(3, path);
+  options.max_resident_users = 60;
+  const ShardedComparison run = MustRun(config, options);
   ExpectSameResult(golden, run);
   EXPECT_LE(run.peak_resident_users, 60);
   EXPECT_GT(run.peak_resident_users, 0);
@@ -176,20 +168,20 @@ TEST(MultiprocEquivalenceTest, ResidencyBudgetHoldsAcrossProcesses) {
   std::remove(path.c_str());
 }
 
-// The property behind cross-engine resume: ConfigFingerprint covers the
+// The property behind cross-executor resume: ConfigFingerprint covers the
 // semantic config only, so one journal is finishable at ANY process count —
-// including zero extra processes (the in-process engine).
+// including processes == 0 (the in-process lanes).
 TEST(MultiprocEquivalenceTest, FingerprintExcludesProcessCount) {
   const PadConfig config = TestConfig();
   const ShardedComparison golden = MustRun(config, BaseOptions());
   const std::string path = TempPath("mp_fingerprint.ckpt");
   std::remove(path.c_str());
 
-  // Complete at processes=2; every later rerun at any engine/process count
+  // Complete at processes=2; every later rerun at any process count
   // must replay all 4 markets from the journal and simulate nothing.
-  ExpectSameResult(golden, MustRunMultiproc(config, MultiprocOptions(2, path)));
+  ExpectSameResult(golden, MustRun(config, MultiprocOptions(2, path)));
 
-  const ShardedComparison reread_mp3 = MustRunMultiproc(config, MultiprocOptions(3, path));
+  const ShardedComparison reread_mp3 = MustRun(config, MultiprocOptions(3, path));
   EXPECT_EQ(golden.num_markets, reread_mp3.resumed_markets);
   ExpectSameResult(golden, reread_mp3);
 
@@ -200,14 +192,14 @@ TEST(MultiprocEquivalenceTest, FingerprintExcludesProcessCount) {
   ExpectSameResult(golden, reread_single);
   std::remove(path.c_str());
 
-  // Reverse direction: a journal written by the single-process engine is
-  // picked up whole by the multi-process one.
+  // Reverse direction: a journal written by in-process lanes is picked up
+  // whole by worker processes.
   const std::string reverse = TempPath("mp_fingerprint_rev.ckpt");
   std::remove(reverse.c_str());
   ShardEngineOptions writer = BaseOptions();
   writer.checkpoint_path = reverse;
   ExpectSameResult(golden, MustRun(config, writer));
-  const ShardedComparison adopted = MustRunMultiproc(config, MultiprocOptions(4, reverse));
+  const ShardedComparison adopted = MustRun(config, MultiprocOptions(4, reverse));
   EXPECT_EQ(golden.num_markets, adopted.resumed_markets);
   ExpectSameResult(golden, adopted);
   std::remove(reverse.c_str());
@@ -222,9 +214,9 @@ TEST(MultiprocEquivalenceTest, PresetStopFlagInterruptsThenResumesToGolden) {
   // Flag pre-set: the coordinator assigns nothing, drains its workers, and
   // reports an interrupted (not failed, not aborted) run.
   std::atomic<bool> stop{true};
-  MultiprocEngineOptions options = MultiprocOptions(2, path);
-  options.engine.stop_requested = &stop;
-  StatusOr<ShardedComparison> stopped = RunMultiprocSharded(config, options);
+  ShardEngineOptions options = MultiprocOptions(2, path);
+  options.stop_requested = &stop;
+  StatusOr<ShardedComparison> stopped = RunShardedResumable(config, options);
   ASSERT_TRUE(stopped.ok()) << stopped.status().ToString();
   EXPECT_TRUE(stopped->interrupted);
   EXPECT_TRUE(stopped->market_pad_digests.empty());
@@ -232,7 +224,7 @@ TEST(MultiprocEquivalenceTest, PresetStopFlagInterruptsThenResumesToGolden) {
 
   // Clearing the flag and rerunning the same command completes to golden.
   stop.store(false);
-  ExpectSameResult(golden, MustRunMultiproc(config, options));
+  ExpectSameResult(golden, MustRun(config, options));
   ExpectNoWorkerJournals(path);
   std::remove(path.c_str());
 }
@@ -240,28 +232,36 @@ TEST(MultiprocEquivalenceTest, PresetStopFlagInterruptsThenResumesToGolden) {
 TEST(MultiprocEquivalenceTest, ValidationRejectsBadOptions) {
   const PadConfig config = TestConfig();
 
-  MultiprocEngineOptions no_processes = MultiprocOptions(0, TempPath("mp_v0.ckpt"));
+  // 0 is the in-process lanes; only a negative count is malformed.
+  ShardEngineOptions negative = MultiprocOptions(-1, TempPath("mp_v0.ckpt"));
   EXPECT_NE(std::string::npos,
-            ValidateMultiprocOptions(config, no_processes).find("processes must be at least 1"));
-  StatusOr<ShardedComparison> run = RunMultiprocSharded(config, no_processes);
+            ValidateShardOptions(config, negative).find("processes must be non-negative"));
+  StatusOr<ShardedComparison> run = RunShardedResumable(config, negative);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(StatusCode::kInvalidArgument, run.status().code());
 
-  MultiprocEngineOptions no_checkpoint = MultiprocOptions(2, "");
+  ShardEngineOptions no_checkpoint = MultiprocOptions(2, "");
   EXPECT_NE(std::string::npos,
-            ValidateMultiprocOptions(config, no_checkpoint).find("requires checkpointing"));
-  run = RunMultiprocSharded(config, no_checkpoint);
+            ValidateShardOptions(config, no_checkpoint).find("requires checkpointing"));
+  run = RunShardedResumable(config, no_checkpoint);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(StatusCode::kInvalidArgument, run.status().code());
 
-  MultiprocEngineOptions bad_stall = MultiprocOptions(2, TempPath("mp_v1.ckpt"));
+  ShardEngineOptions bad_stall = MultiprocOptions(2, TempPath("mp_v1.ckpt"));
   bad_stall.stall_kill_s = -1.0;
-  EXPECT_FALSE(ValidateMultiprocOptions(config, bad_stall).empty());
+  EXPECT_FALSE(ValidateShardOptions(config, bad_stall).empty());
 
-  // Bad engine options surface through the same validator.
-  MultiprocEngineOptions bad_engine = MultiprocOptions(2, TempPath("mp_v2.ckpt"));
-  bad_engine.engine.shards = -1;
-  EXPECT_FALSE(ValidateMultiprocOptions(config, bad_engine).empty());
+  // In-process lanes are never killed, so a stall budget there is a no-op
+  // the validator refuses rather than ignores.
+  ShardEngineOptions lanes_stall = BaseOptions();
+  lanes_stall.stall_kill_s = 5.0;
+  EXPECT_NE(std::string::npos,
+            ValidateShardOptions(config, lanes_stall).find("stall_kill_s requires processes"));
+
+  // Lane options are checked by the same validator.
+  ShardEngineOptions bad_engine = MultiprocOptions(2, TempPath("mp_v2.ckpt"));
+  bad_engine.shards = -1;
+  EXPECT_FALSE(ValidateShardOptions(config, bad_engine).empty());
 
   EXPECT_EQ("/tmp/run.ckpt.w3", WorkerJournalPath("/tmp/run.ckpt", 3));
 }

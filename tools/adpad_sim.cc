@@ -36,14 +36,15 @@
 //                                           (execution-only; 0 = hw; the
 //                                           engine runs max(shards, threads)
 //                                           workers)
-//   processes=N                             fork N worker processes and hand
-//                                           markets out over pipes; requires
+//   processes=N                             run the streaming engine on N >= 1
+//                                           forked worker processes instead
+//                                           of in-process lanes; requires
 //                                           checkpoint= (worker journals are
 //                                           the result transport). Execution-
 //                                           only: results byte-identical to
 //                                           any in-process run, including
 //                                           when workers are killed mid-run
-//   stall_kill_s=S                          multi-process only: SIGKILL and
+//   stall_kill_s=S                          with processes= only: SIGKILL and
 //                                           reassign a worker stuck in one
 //                                           market longer than S seconds
 //                                           (0 = disabled)
@@ -88,7 +89,6 @@
 #include "src/common/status.h"
 #include "src/common/table.h"
 #include "src/common/task_scheduler.h"
-#include "src/core/multiproc_engine.h"
 #include "src/core/pad_simulation.h"
 #include "src/core/shard_engine.h"
 #include "src/core/sweep.h"
@@ -252,12 +252,11 @@ int RunTool(const Options& options) {
   const std::string sweep_users = options.GetString("sweep_users", "");
   const bool use_shard_engine = options.Has("shards") || options.Has("max_resident_users") ||
                                 options.Has("checkpoint") || options.Has("schedule") ||
-                                options.Has("processes") || config.market_users > 0;
-  const bool multiproc = options.Has("processes");
-  MultiprocEngineOptions multiproc_options;
-  multiproc_options.processes = options.GetInt("processes", 1);
-  multiproc_options.stall_kill_s = options.GetDouble("stall_kill_s", 0.0);
+                                options.Has("processes") || options.Has("stall_kill_s") ||
+                                config.market_users > 0;
   ShardEngineOptions shard_options;
+  shard_options.processes = options.GetInt("processes", 0);
+  shard_options.stall_kill_s = options.GetDouble("stall_kill_s", 0.0);
   shard_options.shards = options.GetInt("shards", 1);
   shard_options.threads = threads;
   const std::string schedule = options.GetString("schedule", "stealing");
@@ -326,15 +325,12 @@ int RunTool(const Options& options) {
       return 1;
     }
     shard_options.run_baseline = mode == "compare";
-    if (multiproc) {
-      multiproc_options.engine = shard_options;
-      if (const std::string err = ValidateMultiprocOptions(config, multiproc_options);
-          !err.empty()) {
-        std::cerr << "adpad_sim: invalid shard options: " << err << "\n";
-        return 1;
-      }
-    } else if (const std::string err = ValidateShardOptions(config, shard_options);
-               !err.empty()) {
+    // processes=0 would silently mean in-process lanes; the flag asks for
+    // workers, so it must name at least one.
+    const std::string err = options.Has("processes") && shard_options.processes < 1
+                                ? "processes must be at least 1"
+                                : ValidateShardOptions(config, shard_options);
+    if (!err.empty()) {
       std::cerr << "adpad_sim: invalid shard options: " << err << "\n";
       return 1;
     }
@@ -347,21 +343,16 @@ int RunTool(const Options& options) {
               << " users, market_users=" << config.market_users
               << ", shards=" << shard_options.shards << ", threads=" << threads
               << ", max_resident_users=" << shard_options.max_resident_users;
-    if (multiproc) {
-      std::cout << ", processes=" << multiproc_options.processes;
+    if (shard_options.processes > 0) {
+      std::cout << ", processes=" << shard_options.processes;
     }
     if (!shard_options.checkpoint_path.empty()) {
       std::cout << ", checkpoint=" << shard_options.checkpoint_path;
     }
     std::cout << "\n";
-    StatusOr<ShardedComparison> sharded_or = Status::Internal("engine not run");
-    if (multiproc) {
-      // The coordinator forks; this must stay ahead of any thread creation.
-      multiproc_options.engine = shard_options;
-      sharded_or = RunMultiprocSharded(config, multiproc_options);
-    } else {
-      sharded_or = RunShardedResumable(config, shard_options);
-    }
+    // With processes= the engine forks; this must stay ahead of any thread
+    // creation.
+    StatusOr<ShardedComparison> sharded_or = RunShardedResumable(config, shard_options);
     if (!sharded_or.ok()) {
       std::cerr << "adpad_sim: " << sharded_or.status().ToString() << "\n";
       return ExitCodeFor(sharded_or.status());

@@ -4,14 +4,12 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "src/apps/workload.h"
 #include "src/auction/exchange.h"
 #include "src/common/rng.h"
 #include "src/core/pad_simulation.h"
 #include "src/overbook/poisson_binomial.h"
 #include "src/overbook/replication_planner.h"
 #include "src/radio/machine.h"
-#include "src/sim/simulator.h"
 #include "src/trace/generator.h"
 
 namespace pad {
@@ -45,18 +43,6 @@ void BM_RadioMachineSubmit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RadioMachineSubmit);
-
-void BM_SimulatorScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulator sim;
-    for (int i = 0; i < 1000; ++i) {
-      sim.ScheduleAt(static_cast<double>(i % 100), [] {});
-    }
-    sim.RunAll();
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SimulatorScheduleRun);
 
 void BM_PoissonBinomialTail(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -126,20 +112,6 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration)->Arg(10)->Arg(100);
 
-void BM_WorkloadExpansion(benchmark::State& state) {
-  const AppCatalog catalog = AppCatalog::TopFifteen();
-  PopulationConfig config;
-  config.num_users = 50;
-  config.horizon_s = 14.0 * kDay;
-  config.num_apps = catalog.size();
-  const Population population = GeneratePopulation(config);
-  WorkloadOptions options;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ExpandPopulation(catalog, population, options));
-  }
-}
-BENCHMARK(BM_WorkloadExpansion);
-
 void BM_EndToEndQuickRun(benchmark::State& state) {
   PadConfig config = QuickConfig();
   config.population.num_users = 20;
@@ -151,7 +123,7 @@ void BM_EndToEndQuickRun(benchmark::State& state) {
 BENCHMARK(BM_EndToEndQuickRun)->Unit(benchmark::kMillisecond);
 
 // Console reporter that also collects each benchmark's per-iteration real
-// time into BenchRow JSON when `--json <path>` is given, so the micro suite
+// time into BenchRow JSON when `json=<path>` is given, so the micro suite
 // feeds the same bench_compare gate as the end-to-end harnesses.
 class JsonCollector : public benchmark::ConsoleReporter {
  public:

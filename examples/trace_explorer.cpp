@@ -36,7 +36,12 @@ int main(int argc, char** argv) {
   WriteTraceFile(population, path);
   std::cout << "Wrote " << population.TotalSessions() << " sessions to " << path << "\n";
 
-  const Population loaded = ReadTraceFile(path);
+  StatusOr<Population> reloaded = LoadTraceFile(path);
+  if (!reloaded.ok()) {
+    std::cerr << "trace_explorer: " << reloaded.status().ToString() << "\n";
+    return ExitCodeFor(reloaded.status());
+  }
+  const Population loaded = *std::move(reloaded);
   std::cout << "Reloaded " << loaded.TotalSessions() << " sessions ("
             << (loaded.TotalSessions() == population.TotalSessions() ? "round-trip OK"
                                                                      : "MISMATCH")
@@ -74,7 +79,7 @@ int main(int argc, char** argv) {
             << "  p90 per-user relative error:    "
             << FormatDouble(relative_error.Percentile(90.0), 2) << "\n";
   std::cout << "\nTo run the full pipeline on your own trace, load it with\n"
-            << "ReadTraceFile() and pass it through RunBaseline()/RunPad()\n"
+            << "LoadTraceFile() and pass it through RunBaseline()/RunPad()\n"
             << "(see src/core/pad_simulation.h).\n";
   return 0;
 }

@@ -1,19 +1,9 @@
 #include "src/apps/app_profile.h"
 
-#include <cmath>
-
 #include "src/common/check.h"
 #include "src/common/units.h"
 
 namespace pad {
-
-int AppProfile::SlotsInSession(double duration_s) const {
-  PAD_DCHECK(duration_s >= 0.0);
-  if (!has_ads || ad_refresh_s <= 0.0) {
-    return 0;
-  }
-  return 1 + static_cast<int>(std::floor(duration_s / ad_refresh_s));
-}
 
 AppCatalog::AppCatalog(std::vector<AppProfile> apps) : apps_(std::move(apps)) {
   PAD_CHECK(!apps_.empty());

@@ -34,10 +34,6 @@ struct AppProfile {
   // Non-radio power (CPU + display attributable to the app) while the app is
   // foregrounded; used for the "total app energy" denominator in E1.
   double local_power_w = 0.9;
-
-  // Ad slots produced by a foreground session of the given length: one at
-  // launch plus one per refresh period completed. 0 if the app has no ads.
-  int SlotsInSession(double duration_s) const;
 };
 
 class AppCatalog {

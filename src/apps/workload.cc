@@ -73,17 +73,6 @@ void ExpandUserInto(const AppCatalog& catalog, const UserTrace& user,
             [](const SlotEvent& a, const SlotEvent& b) { return a.time < b.time; });
 }
 
-std::vector<UserWorkload> ExpandPopulation(const AppCatalog& catalog,
-                                           const Population& population,
-                                           const WorkloadOptions& options) {
-  std::vector<UserWorkload> workloads;
-  workloads.reserve(population.users.size());
-  for (const UserTrace& user : population.users) {
-    workloads.push_back(ExpandUser(catalog, user, options));
-  }
-  return workloads;
-}
-
 std::vector<SlotEvent> SlotsForUser(const AppCatalog& catalog, const UserTrace& user) {
   WorkloadOptions options;
   options.on_demand_ads = false;

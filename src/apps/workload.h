@@ -33,7 +33,7 @@ struct WorkloadOptions {
   // Skip sessions starting before this time. Expanding with a threshold is
   // equivalent to filtering the population first (sessions expand
   // independently and both streams are sorted afterwards), without copying
-  // every kept session the way FilterPopulation does.
+  // every kept session.
   double min_session_start = -std::numeric_limits<double>::infinity();
 };
 
@@ -54,11 +54,6 @@ UserWorkload ExpandUser(const AppCatalog& catalog, const UserTrace& user,
 // performs no heap allocation per user.
 void ExpandUserInto(const AppCatalog& catalog, const UserTrace& user,
                     const WorkloadOptions& options, UserWorkload& out);
-
-// Expands every user in the population.
-std::vector<UserWorkload> ExpandPopulation(const AppCatalog& catalog,
-                                           const Population& population,
-                                           const WorkloadOptions& options);
 
 // Just the slot stream for one user (cheaper when transfers are not needed).
 std::vector<SlotEvent> SlotsForUser(const AppCatalog& catalog, const UserTrace& user);

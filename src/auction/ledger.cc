@@ -85,11 +85,6 @@ std::vector<int64_t> RevenueLedger::TakeRecentlyBilled() {
   return billed;
 }
 
-void RevenueLedger::RecordUnsoldDisplay() {
-  ++totals_.excess_displays;
-  ++totals_.displays;
-}
-
 void RevenueLedger::ExpireDeadlines(double now) {
   // Linear sweep; callers invoke this at period boundaries, and the open set
   // stays small (bounded by impressions in flight), so this has not shown up

@@ -61,10 +61,6 @@ class RevenueLedger {
   // Later replicas and post-deadline displays count as excess.
   bool RecordDisplay(int64_t impression_id, double time);
 
-  // Records a display that was never tied to a sale (e.g. a client showing a
-  // locally cached filler ad). Pure excess.
-  void RecordUnsoldDisplay();
-
   // Sweeps impressions whose deadline is at or before `now` and are still
   // undisplayed, marking them violated. Call with +infinity at end of run.
   void ExpireDeadlines(double now);

@@ -10,18 +10,7 @@ Arena::Arena(size_t first_chunk_bytes)
     : next_chunk_bytes_(std::max<size_t>(first_chunk_bytes, 256)) {}
 
 void Arena::AddChunk(size_t bytes) {
-  // Any free-listed chunk that fits (plus worst-case alignment padding) is
-  // reused before malloc is asked for more.
   const size_t needed = bytes + kCacheLine;
-  for (size_t i = 0; i < free_.size(); ++i) {
-    if (free_[i].capacity >= needed) {
-      live_.push_back(std::move(free_[i]));
-      free_.erase(free_.begin() + static_cast<ptrdiff_t>(i));
-      next_ = live_.back().data.get();
-      end_ = next_ + live_.back().capacity;
-      return;
-    }
-  }
   const size_t capacity = std::max(needed, next_chunk_bytes_);
   next_chunk_bytes_ = std::min(next_chunk_bytes_ * 2, kMaxChunkBytes);
   Chunk chunk;
@@ -30,8 +19,8 @@ void Arena::AddChunk(size_t bytes) {
   // bump cursor itself, so the chunk only needs the padding headroom above.
   chunk.data = std::make_unique<std::byte[]>(capacity);
   chunk.capacity = capacity;
-  live_.push_back(std::move(chunk));
-  next_ = live_.back().data.get();
+  chunks_.push_back(std::move(chunk));
+  next_ = chunks_.back().data.get();
   end_ = next_ + capacity;
   ++chunks_allocated_;
   bytes_reserved_ += static_cast<int64_t>(capacity);
@@ -55,20 +44,6 @@ void* Arena::Allocate(size_t bytes, size_t alignment) {
   next_ = reinterpret_cast<std::byte*>(aligned + request);
   bytes_in_use_ += static_cast<int64_t>(aligned + request - cursor);
   return reinterpret_cast<void*>(aligned);
-}
-
-void Arena::Reset() {
-  // Keep the largest chunk hot at the front of the free list so the next
-  // fill cycle lands in one chunk from the start.
-  for (Chunk& chunk : live_) {
-    free_.push_back(std::move(chunk));
-  }
-  live_.clear();
-  std::sort(free_.begin(), free_.end(),
-            [](const Chunk& a, const Chunk& b) { return a.capacity > b.capacity; });
-  next_ = nullptr;
-  end_ = nullptr;
-  bytes_in_use_ = 0;
 }
 
 }  // namespace pad

@@ -6,17 +6,15 @@
 // showed as pure churn (the objects all die together when the market
 // finishes). An Arena replaces that with pointer-bump allocation out of
 // geometrically growing chunks: allocation is a pointer increment, and the
-// whole market's scratch is released in O(chunks) by Reset().
+// whole run's scratch is released in O(chunks) when the arena is destroyed.
 //
 // Two ways to use it:
 //   * Arena::Allocate/NewArray for raw POD blocks, and
 //   * ArenaVector<T> (std::vector with an ArenaAllocator) when vector
 //     semantics (push_back, size) are wanted on top of arena storage.
 //
-// Reset() retires every chunk to a free list and reuses them on the next
-// fill cycle, so a steady-state market loop performs zero malloc calls in
-// the arena after the first market sized it. Individual Deallocate is a
-// no-op by design — an arena is for objects with a common lifetime.
+// Individual Deallocate is a no-op by design — an arena is for objects with
+// a common lifetime.
 //
 // Chunks are cache-line aligned and allocations are rounded to at least
 // 8-byte alignment (over-alignment supported up to kCacheLine), following
@@ -59,22 +57,14 @@ class Arena {
     return static_cast<T*>(Allocate(n * sizeof(T), alignof(T)));
   }
 
-  // Retires every live chunk to the free list and restarts bumping from the
-  // first of them. All outstanding pointers are invalidated; no destructors
-  // run (arena objects must be trivially destructible or externally
-  // destroyed). Chunk memory is retained for reuse.
-  void Reset();
-
   // --- Stats (the allocation-regression test contract) ------------------
   // Number of Allocate calls since construction.
   int64_t allocations() const { return allocations_; }
-  // Bytes handed out since the last Reset (including alignment padding).
+  // Bytes handed out (including alignment padding).
   int64_t bytes_in_use() const { return bytes_in_use_; }
-  // Bytes of chunk capacity currently owned (live + free-listed).
+  // Bytes of chunk capacity currently owned.
   int64_t bytes_reserved() const { return bytes_reserved_; }
-  // malloc-backed chunk allocations since construction. Steady state after
-  // warm-up: this stops growing, which is exactly what the regression test
-  // asserts.
+  // malloc-backed chunk allocations since construction.
   int64_t chunks_allocated() const { return chunks_allocated_; }
 
   static constexpr size_t kDefaultChunkBytes = size_t{64} << 10;  // 64 KiB.
@@ -86,13 +76,11 @@ class Arena {
     size_t capacity = 0;
   };
 
-  // Makes the bump region at least `bytes` (+ worst-case padding) large,
-  // reusing a free-listed chunk when one fits.
+  // Makes the bump region at least `bytes` (+ worst-case padding) large.
   void AddChunk(size_t bytes);
 
-  std::vector<Chunk> live_;   // Chunks in use; back() is the bump target.
-  std::vector<Chunk> free_;   // Retired by Reset, waiting for reuse.
-  std::byte* next_ = nullptr;  // Bump cursor inside live_.back().
+  std::vector<Chunk> chunks_;  // back() is the bump target.
+  std::byte* next_ = nullptr;  // Bump cursor inside chunks_.back().
   std::byte* end_ = nullptr;
   size_t next_chunk_bytes_;
 
@@ -103,7 +91,7 @@ class Arena {
 };
 
 // std-compatible allocator over an Arena. Deallocate is a no-op; memory is
-// reclaimed by Arena::Reset. Containers using it must not outlive the arena.
+// reclaimed when the Arena is destroyed. Containers using it must not outlive the arena.
 template <typename T>
 class ArenaAllocator {
  public:
@@ -118,7 +106,7 @@ class ArenaAllocator {
   ArenaAllocator(const ArenaAllocator<U>& other) : arena_(other.arena()) {}
 
   T* allocate(size_t n) { return arena_->NewArray<T>(n); }
-  void deallocate(T*, size_t) {}  // Bulk-freed by Arena::Reset.
+  void deallocate(T*, size_t) {}  // Bulk-freed with the Arena.
 
   Arena* arena() const { return arena_; }
 

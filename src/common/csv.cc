@@ -2,9 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "src/common/check.h"
 
@@ -35,16 +33,6 @@ std::string CsvWriter::Field(int64_t value) {
   return buffer;
 }
 
-int CsvTable::ColumnIndex(std::string_view name) const {
-  for (size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) {
-      return static_cast<int>(i);
-    }
-  }
-  PAD_CHECK_MSG(false, "CSV column not found");
-  return -1;
-}
-
 namespace {
 
 std::vector<std::string> SplitFields(std::string_view line) {
@@ -60,13 +48,6 @@ std::vector<std::string> SplitFields(std::string_view line) {
 }
 
 }  // namespace
-
-CsvTable ParseCsv(std::string_view text) {
-  std::string error;
-  std::optional<CsvTable> table = TryParseCsv(text, &error);
-  PAD_CHECK_MSG(table.has_value(), error.c_str());
-  return *std::move(table);
-}
 
 std::optional<CsvTable> TryParseCsv(std::string_view text, std::string* error) {
   CsvTable table;
@@ -106,29 +87,6 @@ std::optional<CsvTable> TryParseCsv(std::string_view text, std::string* error) {
     }
   }
   return table;
-}
-
-CsvTable ReadCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  PAD_CHECK_MSG(in.good(), "cannot open CSV file");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseCsv(buffer.str());
-}
-
-StatusOr<CsvTable> LoadCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    return Status::NotFound("cannot open CSV file '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string error;
-  std::optional<CsvTable> table = TryParseCsv(buffer.str(), &error);
-  if (!table.has_value()) {
-    return Status::InvalidArgument("CSV file '" + path + "': " + error);
-  }
-  return *std::move(table);
 }
 
 }  // namespace pad

@@ -13,8 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/status.h"
-
 namespace pad {
 
 // Writes rows to an ostream owned by the caller.
@@ -38,26 +36,13 @@ class CsvWriter {
 struct CsvTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
-
-  // Index of a header column; aborts if missing.
-  int ColumnIndex(std::string_view name) const;
 };
 
-// Parses CSV text. Empty lines and lines starting with '#' are skipped.
-// Aborts on ragged rows (every data row must match the header's arity).
-CsvTable ParseCsv(std::string_view text);
-
-// Non-aborting variant for externally supplied files: a ragged row (e.g. a
-// truncated last line) returns nullopt with a diagnostic in *error instead
-// of taking the process down.
+// Parses CSV text. Empty lines and lines starting with '#' are skipped. Every
+// data row must match the header's arity: a ragged row (e.g. a truncated last
+// line of an externally supplied file) returns nullopt with a diagnostic in
+// *error instead of taking the process down.
 std::optional<CsvTable> TryParseCsv(std::string_view text, std::string* error);
-
-// Reads and parses a CSV file; aborts if the file cannot be opened.
-CsvTable ReadCsvFile(const std::string& path);
-
-// Status-returning variant for user-supplied paths: kNotFound when the file
-// cannot be opened, kInvalidArgument when its contents fail TryParseCsv.
-StatusOr<CsvTable> LoadCsvFile(const std::string& path);
 
 }  // namespace pad
 

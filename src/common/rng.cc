@@ -144,11 +144,6 @@ int Rng::Poisson(double mean) {
   }
 }
 
-int Rng::Zipf(int n, double s) {
-  ZipfTable table(n, s);
-  return table.Sample(*this);
-}
-
 int Rng::WeightedChoice(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {

@@ -74,11 +74,6 @@ class Rng {
   // means and the PTRS transformed-rejection method for large ones.
   int Poisson(double mean);
 
-  // Zipf-distributed rank in [0, n) with exponent s >= 0 (s == 0 is uniform).
-  // Uses a precomputed CDF supplied by ZipfTable for efficiency; this
-  // convenience overload builds the table on each call and is O(n).
-  int Zipf(int n, double s);
-
   // Pick an index in [0, weights.size()) with probability proportional to
   // weights[i]. Requires at least one strictly positive weight.
   int WeightedChoice(std::span<const double> weights);

@@ -1,61 +1,18 @@
 #include "src/common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "src/common/check.h"
-#include "src/common/rng.h"
 
 namespace pad {
 
 void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 double RunningStats::mean() const { return count_ > 0 ? mean_ : 0.0; }
-
-double RunningStats::variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const { return count_ > 0 ? min_ : 0.0; }
-
-double RunningStats::max() const { return count_ > 0 ? max_ : 0.0; }
 
 void SampleSet::Add(double x) {
   samples_.push_back(x);
@@ -72,18 +29,6 @@ double SampleSet::mean() const {
     return 0.0;
   }
   return sum() / static_cast<double>(samples_.size());
-}
-
-double SampleSet::stddev() const {
-  if (samples_.size() < 2) {
-    return 0.0;
-  }
-  const double m = mean();
-  double m2 = 0.0;
-  for (double x : samples_) {
-    m2 += (x - m) * (x - m);
-  }
-  return std::sqrt(m2 / static_cast<double>(samples_.size() - 1));
 }
 
 double SampleSet::min() const {
@@ -118,86 +63,12 @@ double SampleSet::Percentile(double p) const {
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
 }
 
-double SampleSet::CdfAt(double x) const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  EnsureSorted();
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
-}
-
-std::vector<std::pair<double, double>> SampleSet::CdfPoints(int n) const {
-  PAD_CHECK(n >= 2);
-  std::vector<std::pair<double, double>> points;
-  if (samples_.empty()) {
-    return points;
-  }
-  points.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const double p = 100.0 * static_cast<double>(i) / static_cast<double>(n - 1);
-    const double x = Percentile(p);
-    points.emplace_back(x, p / 100.0);
-  }
-  return points;
-}
-
-std::pair<double, double> SampleSet::BootstrapMeanCi(Rng& rng, double confidence,
-                                                     int resamples) const {
-  PAD_CHECK(confidence > 0.0 && confidence < 1.0);
-  PAD_CHECK(resamples > 1);
-  PAD_CHECK_MSG(!samples_.empty(), "BootstrapMeanCi of an empty SampleSet");
-  const int64_t n = static_cast<int64_t>(samples_.size());
-  SampleSet means;
-  for (int r = 0; r < resamples; ++r) {
-    double total = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      total += samples_[static_cast<size_t>(rng.UniformInt(0, n - 1))];
-    }
-    means.Add(total / static_cast<double>(n));
-  }
-  const double alpha = (1.0 - confidence) / 2.0;
-  return {means.Percentile(100.0 * alpha), means.Percentile(100.0 * (1.0 - alpha))};
-}
-
 void SampleSet::EnsureSorted() const {
   if (!sorted_valid_) {
     sorted_ = samples_;
     std::sort(sorted_.begin(), sorted_.end());
     sorted_valid_ = true;
   }
-}
-
-Histogram::Histogram(double lo, double hi, int bins) : lo_(lo) {
-  PAD_CHECK(bins > 0);
-  PAD_CHECK(hi > lo);
-  width_ = (hi - lo) / static_cast<double>(bins);
-  counts_.assign(static_cast<size_t>(bins), 0.0);
-}
-
-void Histogram::Add(double x, double weight) {
-  int bin = static_cast<int>((x - lo_) / width_);
-  bin = std::clamp(bin, 0, static_cast<int>(counts_.size()) - 1);
-  counts_[static_cast<size_t>(bin)] += weight;
-  total_ += weight;
-}
-
-double Histogram::BinLow(int i) const { return lo_ + width_ * static_cast<double>(i); }
-
-double Histogram::BinHigh(int i) const { return lo_ + width_ * static_cast<double>(i + 1); }
-
-double Histogram::BinCenter(int i) const { return lo_ + width_ * (static_cast<double>(i) + 0.5); }
-
-double Histogram::Count(int i) const {
-  PAD_CHECK(i >= 0 && i < bins());
-  return counts_[static_cast<size_t>(i)];
-}
-
-double Histogram::Fraction(int i) const {
-  if (total_ <= 0.0) {
-    return 0.0;
-  }
-  return Count(i) / total_;
 }
 
 void WeightedMean::Add(double value, double weight) {

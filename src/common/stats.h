@@ -10,33 +10,21 @@
 
 namespace pad {
 
-class Rng;
-
-// Streaming mean/variance/min/max via Welford's algorithm. O(1) memory;
-// does not support percentiles (use SampleSet for that).
+// Streaming mean via Welford's update. O(1) memory; does not support
+// percentiles (use SampleSet for that).
 class RunningStats {
  public:
   void Add(double x);
-  void Merge(const RunningStats& other);
 
   int64_t count() const { return count_; }
   double mean() const;
-  // Unbiased sample variance; 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const;
-  double max() const;
-  double sum() const { return mean_ * static_cast<double>(count_); }
 
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
-// Stores all samples; supports exact percentiles and CDF extraction.
+// Stores all samples; supports exact percentiles.
 class SampleSet {
  public:
   void Add(double x);
@@ -45,7 +33,6 @@ class SampleSet {
   int64_t count() const { return static_cast<int64_t>(samples_.size()); }
   bool empty() const { return samples_.empty(); }
   double mean() const;
-  double stddev() const;
   double min() const;
   double max() const;
   double sum() const;
@@ -53,17 +40,6 @@ class SampleSet {
   // Exact percentile with linear interpolation; p in [0, 100].
   double Percentile(double p) const;
   double Median() const { return Percentile(50.0); }
-
-  // Fraction of samples <= x.
-  double CdfAt(double x) const;
-
-  // Evenly spaced CDF points (x, F(x)) suitable for plotting; n >= 2.
-  std::vector<std::pair<double, double>> CdfPoints(int n) const;
-
-  // Percentile-bootstrap confidence interval for the mean.
-  // Returns {lo, hi} at the given confidence level (e.g. 0.95).
-  std::pair<double, double> BootstrapMeanCi(Rng& rng, double confidence = 0.95,
-                                            int resamples = 1000) const;
 
   std::span<const double> samples() const { return samples_; }
 
@@ -73,30 +49,6 @@ class SampleSet {
   std::vector<double> samples_;
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-// first/last bin so totals are preserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int bins);
-
-  void Add(double x, double weight = 1.0);
-
-  int bins() const { return static_cast<int>(counts_.size()); }
-  double BinLow(int i) const;
-  double BinHigh(int i) const;
-  double BinCenter(int i) const;
-  double Count(int i) const;
-  double total() const { return total_; }
-  // Count(i) / total, or 0 when empty.
-  double Fraction(int i) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
 };
 
 // Weighted mean helper for ratio metrics (e.g. population energy shares).

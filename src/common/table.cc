@@ -1,11 +1,9 @@
 #include "src/common/table.h"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 
 #include "src/common/check.h"
-#include "src/common/stats.h"
 
 namespace pad {
 
@@ -16,19 +14,6 @@ TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header
 void TextTable::AddRow(std::vector<std::string> row) {
   PAD_CHECK_MSG(row.size() == header_.size(), "row arity must match header");
   rows_.push_back(std::move(row));
-}
-
-void TextTable::AddNumericRow(const std::vector<double>& values, int precision) {
-  std::vector<std::string> row;
-  row.reserve(values.size());
-  for (double v : values) {
-    if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-      row.push_back(FormatDouble(v, 0));
-    } else {
-      row.push_back(FormatDouble(v, precision));
-    }
-  }
-  AddRow(std::move(row));
 }
 
 void TextTable::Print(std::ostream& out) const {

@@ -17,10 +17,6 @@ class TextTable {
 
   void AddRow(std::vector<std::string> row);
 
-  // Convenience for mixed numeric rows: each cell formatted with the given
-  // precision; integers print without a decimal point.
-  void AddNumericRow(const std::vector<double>& values, int precision = 3);
-
   void Print(std::ostream& out) const;
 
   int rows() const { return static_cast<int>(rows_.size()); }

@@ -15,24 +15,6 @@
 
 namespace pad {
 
-Population FilterPopulation(const Population& population, double t0) {
-  Population filtered;
-  filtered.horizon_s = population.horizon_s;
-  filtered.users.reserve(population.users.size());
-  for (const UserTrace& user : population.users) {
-    UserTrace kept;
-    kept.user_id = user.user_id;
-    kept.segment = user.segment;
-    for (const Session& session : user.sessions) {
-      if (session.start_time >= t0) {
-        kept.sessions.push_back(session);
-      }
-    }
-    filtered.users.push_back(std::move(kept));
-  }
-  return filtered;
-}
-
 PadConfig AlignInputsConfig(const PadConfig& config) {
   PadConfig cfg = config;
   cfg.population.num_apps = AppCatalog::TopFifteen().size();
@@ -73,10 +55,10 @@ BaselineResult RunBaseline(const SimContext& context, const SimInputs& inputs) {
   const double horizon = inputs.population.horizon_s;
   PAD_CHECK_MSG(horizon > t0, "horizon must extend past the warmup");
 
-  // Expanding with min_session_start == t0 is equivalent to expanding a
-  // FilterPopulation copy, without materializing the copy; one scratch
-  // workload and one radio machine per interface are reused across users so
-  // steady state allocates nothing per user.
+  // Expanding with min_session_start == t0 skips the warmup sessions without
+  // copying the population; one scratch workload and one radio machine per
+  // interface are reused across users so steady state allocates nothing per
+  // user.
   WorkloadOptions options;
   options.on_demand_ads = true;
   options.app_content = true;
@@ -172,14 +154,10 @@ struct ClientFeed {
   uint32_t next = 0;
 };
 
-// One pending client event in the run queue. The general Simulator breaks
-// time ties by schedule order (seq); the specialized queue reproduces that
-// exactly: epoch events own seqs [0, num_epochs), initial feed events take
-// the next seqs in client order, and each executed feed event assigns its
-// successor the next global seq — the same assignment the recursive
-// ScheduleNextFeedEvent chain produced, so the pop order (and therefore
-// every digest) is byte-identical to the std::function-based event loop it
-// replaces.
+// One pending client event in the run queue. Time ties break by schedule
+// order (seq): epoch events own seqs [0, num_epochs), initial feed events
+// take the next seqs in client order, and each executed feed event assigns
+// its successor the next global seq. That order is part of every digest.
 struct PendingEvent {
   double time = 0.0;
   uint64_t seq = 0;

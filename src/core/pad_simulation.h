@@ -31,9 +31,6 @@
 
 namespace pad {
 
-// Drops every session starting before `t0` (times stay absolute).
-Population FilterPopulation(const Population& population, double t0);
-
 // The shared inputs of a paired comparison.
 struct SimInputs {
   Population population;

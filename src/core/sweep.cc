@@ -4,8 +4,6 @@
 #include <functional>
 
 #include "src/common/bytes.h"
-#include "src/common/check.h"
-#include "src/common/rng.h"
 #include "src/common/task_scheduler.h"
 
 namespace pad {
@@ -49,19 +47,6 @@ std::vector<PadRunResult> RunPadMany(std::span<const PadConfig> configs,
     results[job] = RunPad(configs[job], inputs, log);
   });
   return results;
-}
-
-std::vector<PadConfig> ReplicateWithSeeds(const PadConfig& base, int n, uint64_t base_seed) {
-  PAD_CHECK(n >= 0);
-  uint64_t state = base_seed;
-  std::vector<PadConfig> configs(static_cast<size_t>(n), base);
-  for (PadConfig& config : configs) {
-    const uint64_t seed = SplitMix64(state);
-    config.seed = seed;
-    config.population.seed = SplitMix64(state);
-    config.campaigns.seed = SplitMix64(state);
-  }
-  return configs;
 }
 
 uint64_t MetricsDigest(const BaselineResult& result) { return DigestOf(result); }

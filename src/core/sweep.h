@@ -5,7 +5,7 @@
 // Determinism contract: for a fixed config list, every result (metrics,
 // ledger totals, event-log digest) is bit-identical regardless of the thread
 // count or the schedule. Two properties make this hold:
-//   * every job is hermetic — each run builds its own Simulator, Exchange,
+//   * every job is hermetic — each run builds its own event queue, Exchange,
 //     clients, predictors, and RNG streams from the job's config seeds, and
 //     shared SimInputs are read-only on the run path;
 //   * results are slotted by submission index, never by completion order.
@@ -48,11 +48,6 @@ std::vector<PadRunResult> RunPadMany(std::span<const PadConfig> configs,
                                      const SimInputs& inputs,
                                      const SweepOptions& options = {},
                                      std::vector<EventLog>* event_logs = nullptr);
-
-// Monte-Carlo helper: n copies of `base` whose seeds are decorrelated
-// SplitMix64 draws from `base_seed`, for replication studies where each job
-// must see an independent trace and market.
-std::vector<PadConfig> ReplicateWithSeeds(const PadConfig& base, int n, uint64_t base_seed);
 
 // FNV-1a digests over every field of a result, field by field (never raw
 // struct bytes — padding is indeterminate). Two runs are byte-identical iff

@@ -16,11 +16,6 @@ int SlotSeries::WindowsPerDay() const {
   return windows;
 }
 
-int SlotSeries::WindowOfDay(int window_index) const {
-  PAD_CHECK(window_index >= 0);
-  return window_index % WindowsPerDay();
-}
-
 int64_t SlotSeries::TotalSlots() const {
   int64_t total = 0;
   for (int c : counts) {

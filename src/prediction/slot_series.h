@@ -24,9 +24,6 @@ struct SlotSeries {
   // hours). Aborts otherwise.
   int WindowsPerDay() const;
 
-  // Which window-of-day a window index falls in.
-  int WindowOfDay(int window_index) const;
-
   int64_t TotalSlots() const;
 };
 

@@ -14,36 +14,12 @@ double EnergyReport::total_energy_j() const {
   return total;
 }
 
-double EnergyReport::total_tail_j() const {
-  double total = 0.0;
-  for (const CategoryEnergy& category : by_category) {
-    total += category.tail_j;
-  }
-  return total;
-}
-
-double EnergyReport::total_bytes() const {
-  double total = 0.0;
-  for (const CategoryEnergy& category : by_category) {
-    total += category.bytes;
-  }
-  return total;
-}
-
 int64_t EnergyReport::total_transfers() const {
   int64_t total = 0;
   for (const CategoryEnergy& category : by_category) {
     total += category.transfers;
   }
   return total;
-}
-
-double EnergyReport::CategoryShare(TrafficCategory category) const {
-  const double total = total_energy_j();
-  if (total <= 0.0) {
-    return 0.0;
-  }
-  return For(category).total_j() / total;
 }
 
 void EnergyReport::Merge(const EnergyReport& other) {

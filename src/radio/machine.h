@@ -50,12 +50,7 @@ struct EnergyReport {
   }
 
   double total_energy_j() const;
-  double total_tail_j() const;
-  double total_bytes() const;
   int64_t total_transfers() const;
-
-  // Fraction of total energy attributed to `category` (0 when total is 0).
-  double CategoryShare(TrafficCategory category) const;
 
   void Merge(const EnergyReport& other);
 };

@@ -2,25 +2,8 @@
 
 #include "src/common/check.h"
 #include "src/common/units.h"
-#include "src/radio/transfer.h"
 
 namespace pad {
-
-const char* TrafficCategoryName(TrafficCategory category) {
-  switch (category) {
-    case TrafficCategory::kAdFetch:
-      return "ad_fetch";
-    case TrafficCategory::kAdPrefetch:
-      return "ad_prefetch";
-    case TrafficCategory::kSlotReport:
-      return "slot_report";
-    case TrafficCategory::kAppContent:
-      return "app_content";
-    case TrafficCategory::kOther:
-      return "other";
-  }
-  return "unknown";
-}
 
 double RadioProfile::TransferDuration(double bytes, bool uplink) const {
   PAD_DCHECK(bytes >= 0.0);

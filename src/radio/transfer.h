@@ -18,8 +18,6 @@ enum class TrafficCategory : uint8_t {
 };
 inline constexpr int kNumTrafficCategories = 5;
 
-const char* TrafficCategoryName(TrafficCategory category);
-
 enum class Direction : uint8_t {
   kDownlink = 0,
   kUplink = 1,

@@ -43,28 +43,6 @@ void LatencyHistogram::Record(uint64_t value) {
   }
 }
 
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  uint64_t merged = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const uint64_t n = other.counts_[static_cast<size_t>(i)].load(std::memory_order_relaxed);
-    if (n != 0) {
-      counts_[static_cast<size_t>(i)].fetch_add(n, std::memory_order_relaxed);
-      merged += n;
-    }
-  }
-  count_.fetch_add(merged, std::memory_order_relaxed);
-  const uint64_t other_min = other.min_.load(std::memory_order_relaxed);
-  uint64_t seen = min_.load(std::memory_order_relaxed);
-  while (other_min < seen &&
-         !min_.compare_exchange_weak(seen, other_min, std::memory_order_relaxed)) {
-  }
-  const uint64_t other_max = other.max_.load(std::memory_order_relaxed);
-  seen = max_.load(std::memory_order_relaxed);
-  while (other_max > seen &&
-         !max_.compare_exchange_weak(seen, other_max, std::memory_order_relaxed)) {
-  }
-}
-
 uint64_t LatencyHistogram::min() const {
   const uint64_t value = min_.load(std::memory_order_relaxed);
   return value == ~0ull ? 0 : value;

@@ -33,19 +33,13 @@ class LatencyHistogram {
   static constexpr int kNumBuckets = (kNumOctaves + 1) * kSubBuckets;
 
   LatencyHistogram() = default;
-  // Atomic members: neither copyable nor movable; pass by reference and
-  // combine with Merge.
+  // Atomic members: neither copyable nor movable; pass by reference.
   LatencyHistogram(const LatencyHistogram&) = delete;
   LatencyHistogram& operator=(const LatencyHistogram&) = delete;
 
   // Thread-safe, wait-free. Units are whatever the caller measures in
   // (the serving benches record nanoseconds).
   void Record(uint64_t value);
-
-  // Folds `other` into this histogram. Safe against concurrent Record on
-  // either side (counts are atomic), though the serving harnesses only merge
-  // after the recording threads have joined.
-  void Merge(const LatencyHistogram& other);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   // Exact extremes (not bucketed). min() of an empty histogram is 0.

@@ -119,14 +119,6 @@ StatusOr<std::unique_ptr<DecisionEngine>> DecisionEngine::Create(const ServeConf
 
 int64_t DecisionEngine::active_campaigns() const { return active_campaigns_; }
 
-double DecisionEngine::client_slots_per_s(int64_t client) const {
-  return static_cast<double>(clients_[static_cast<size_t>(client)].slots_per_s);
-}
-
-int DecisionEngine::client_segment(int64_t client) const {
-  return clients_[static_cast<size_t>(client)].segment;
-}
-
 void DecisionEngine::Sell(Session& session, int segment, int64_t count,
                           std::vector<WireAd>* ads) const {
   const std::vector<LadderEntry>& ladder = ladders_[static_cast<size_t>(segment)];

@@ -97,10 +97,6 @@ class DecisionEngine {
   // the bytes read off the loopback socket.
   std::vector<WireResponse> DecideBatch(const std::vector<WireRequest>& requests) const;
 
-  // Per-client snapshot accessors (tests).
-  double client_slots_per_s(int64_t client) const;
-  int client_segment(int64_t client) const;
-
  private:
   struct ClientState {
     float slots_per_s = 0.0f;

@@ -151,21 +151,6 @@ bool TryParseTrace(std::string_view text, Population* out_population, std::strin
   return true;
 }
 
-Population ParseTrace(std::string_view text) {
-  Population population;
-  std::string error;
-  PAD_CHECK_MSG(TryParseTrace(text, &population, &error), error.c_str());
-  return population;
-}
-
-Population ReadTraceFile(const std::string& path) {
-  std::ifstream in(path);
-  PAD_CHECK_MSG(in.good(), "cannot open trace file for reading");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseTrace(buffer.str());
-}
-
 StatusOr<Population> LoadTraceFile(const std::string& path) {
   std::ifstream in(path);
   if (!in.good()) {

@@ -19,18 +19,15 @@ namespace pad {
 void WriteTrace(const Population& population, std::ostream& out);
 void WriteTraceFile(const Population& population, const std::string& path);
 
-Population ParseTrace(std::string_view text);
-Population ReadTraceFile(const std::string& path);
-
-// Non-aborting parse for externally supplied traces: malformed input — a
+// Parses trace text without aborting on bad input: malformed input — a
 // truncated line, a ragged row, a non-numeric or out-of-range field, a
 // missing required column — fills *error with a diagnostic and returns
-// false, leaving *population untouched. ParseTrace is this plus an abort.
+// false, leaving *population untouched.
 bool TryParseTrace(std::string_view text, Population* population, std::string* error);
 
-// Status-returning file load for the tool boundary: kNotFound when the file
-// cannot be opened, kInvalidArgument when its contents fail TryParseTrace.
-// Never aborts on bad input, unlike ReadTraceFile.
+// Status-returning file load: kNotFound when the file cannot be opened,
+// kInvalidArgument when its contents fail TryParseTrace. Never aborts on bad
+// input.
 StatusOr<Population> LoadTraceFile(const std::string& path);
 
 }  // namespace pad

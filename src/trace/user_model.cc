@@ -34,22 +34,6 @@ DiurnalProfile DiurnalProfile::Flat() {
   return DiurnalProfile(flat);
 }
 
-double DiurnalProfile::Weight(double hour_of_day, double phase_shift_h) const {
-  double h = std::fmod(hour_of_day - phase_shift_h, 24.0);
-  if (h < 0.0) {
-    h += 24.0;
-  }
-  // Piecewise-linear interpolation between hour centers keeps the profile
-  // smooth for the thinning sampler.
-  const double centered = h - 0.5;
-  const int lo = static_cast<int>(std::floor(centered));
-  const double frac = centered - static_cast<double>(lo);
-  const int a = ((lo % 24) + 24) % 24;
-  const int b = (a + 1) % 24;
-  return weights_[static_cast<size_t>(a)] * (1.0 - frac) +
-         weights_[static_cast<size_t>(b)] * frac;
-}
-
 double DiurnalProfile::SampleHour(Rng& rng, double phase_shift_h) const {
   const int hour = rng.WeightedChoice(std::span<const double>(weights_.data(), weights_.size()));
   double h = static_cast<double>(hour) + rng.NextDouble() + phase_shift_h;

@@ -35,10 +35,6 @@ class DiurnalProfile {
   // Constant rate across the day (no diurnal structure); the ablation knob.
   static DiurnalProfile Flat();
 
-  // Normalized weight (mean 1.0) at the given hour of day, with a phase
-  // shift in hours (a user whose day is shifted later has positive phase).
-  double Weight(double hour_of_day, double phase_shift_h = 0.0) const;
-
   // Samples an hour-of-day (real-valued, in [0, 24)) from the profile with
   // the given phase shift.
   double SampleHour(Rng& rng, double phase_shift_h = 0.0) const;

@@ -2,26 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include "src/apps/workload.h"
 #include "src/common/units.h"
 
 namespace pad {
 namespace {
 
+// Ad slots that one foreground session of `duration_s` in `app` produces.
+size_t SlotsInSession(AppProfile app, double duration_s) {
+  app.app_id = 0;
+  UserTrace user;
+  user.sessions.push_back(Session{0, 0, 0.0, duration_s});
+  return SlotsForUser(AppCatalog({app}), user).size();
+}
+
 TEST(AppProfileTest, SlotsInSessionCountsLaunchPlusRefreshes) {
   AppProfile app;
   app.has_ads = true;
   app.ad_refresh_s = 30.0;
-  EXPECT_EQ(app.SlotsInSession(0.0), 1);     // Launch slot only.
-  EXPECT_EQ(app.SlotsInSession(29.9), 1);
-  EXPECT_EQ(app.SlotsInSession(30.0), 2);
-  EXPECT_EQ(app.SlotsInSession(89.0), 3);
-  EXPECT_EQ(app.SlotsInSession(300.0), 11);
+  EXPECT_EQ(SlotsInSession(app, 0.0), 1u);  // Launch slot only.
+  EXPECT_EQ(SlotsInSession(app, 29.9), 1u);
+  EXPECT_EQ(SlotsInSession(app, 30.0), 2u);
+  EXPECT_EQ(SlotsInSession(app, 89.0), 3u);
+  EXPECT_EQ(SlotsInSession(app, 300.0), 11u);
 }
 
 TEST(AppProfileTest, NoAdsMeansNoSlots) {
   AppProfile app;
   app.has_ads = false;
-  EXPECT_EQ(app.SlotsInSession(1000.0), 0);
+  EXPECT_EQ(SlotsInSession(app, 1000.0), 0u);
 }
 
 TEST(AppCatalogTest, TopFifteenShape) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "src/common/units.h"
 #include "src/trace/generator.h"
 
@@ -22,6 +25,15 @@ AppCatalog SingleAppCatalog(double refresh_s, double launch_bytes, double conten
   app.content_bytes = content_bytes;
   app.local_power_w = 1.0;
   return AppCatalog({app});
+}
+
+// The closed form the expansion must agree with: one slot at launch plus one
+// per completed refresh period, none for an app without ads.
+int64_t SlotsByFormula(const AppProfile& app, double duration_s) {
+  if (!app.has_ads || app.ad_refresh_s <= 0.0) {
+    return 0;
+  }
+  return 1 + static_cast<int64_t>(std::floor(duration_s / app.ad_refresh_s));
 }
 
 UserTrace OneSession(double start, double duration) {
@@ -105,7 +117,8 @@ TEST(WorkloadTest, TransfersAndSlotsSorted) {
   const Population population = GeneratePopulation(config);
   const AppCatalog catalog = AppCatalog::TopFifteen();
   WorkloadOptions options;
-  for (const UserWorkload& workload : ExpandPopulation(catalog, population, options)) {
+  for (const UserTrace& user : population.users) {
+    const UserWorkload workload = ExpandUser(catalog, user, options);
     for (size_t i = 1; i < workload.transfers.size(); ++i) {
       EXPECT_LE(workload.transfers[i - 1].request_time, workload.transfers[i].request_time);
     }
@@ -125,7 +138,7 @@ TEST(WorkloadTest, SlotCountConsistentWithProfileFormula) {
   for (const UserTrace& user : population.users) {
     int64_t expected = 0;
     for (const Session& session : user.sessions) {
-      expected += catalog.Get(session.app_id).SlotsInSession(session.duration_s);
+      expected += SlotsByFormula(catalog.Get(session.app_id), session.duration_s);
     }
     EXPECT_EQ(static_cast<int64_t>(SlotsForUser(catalog, user).size()), expected);
   }
@@ -139,11 +152,22 @@ TEST(WorkloadTest, PopulationExpansionPreservesUserIds) {
   const Population population = GeneratePopulation(config);
   const AppCatalog catalog = AppCatalog::TopFifteen();
   WorkloadOptions options;
-  const auto workloads = ExpandPopulation(catalog, population, options);
-  ASSERT_EQ(workloads.size(), 5u);
-  for (size_t i = 0; i < workloads.size(); ++i) {
-    EXPECT_EQ(workloads[i].user_id, population.users[i].user_id);
+  ASSERT_EQ(population.users.size(), 5u);
+  for (const UserTrace& user : population.users) {
+    EXPECT_EQ(ExpandUser(catalog, user, options).user_id, user.user_id);
   }
+}
+
+TEST(WorkloadTest, MinSessionStartDropsEarlySessions) {
+  const AppCatalog catalog = SingleAppCatalog(30.0, 0.0, 0.0, 0.0);
+  UserTrace user = OneSession(100.0, 10.0);
+  user.sessions.push_back(Session{7, 0, kDay + 100.0, 10.0});
+  WorkloadOptions options;
+  options.min_session_start = kDay;
+  const UserWorkload workload = ExpandUser(catalog, user, options);
+  ASSERT_EQ(workload.slots.size(), 1u);
+  EXPECT_DOUBLE_EQ(workload.slots[0].time, kDay + 100.0);
+  EXPECT_DOUBLE_EQ(workload.foreground_s, 10.0);
 }
 
 }  // namespace

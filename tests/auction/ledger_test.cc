@@ -67,13 +67,6 @@ TEST(LedgerTest, DisplayOfUnknownImpressionIsExcess) {
   EXPECT_EQ(ledger.totals().excess_displays, 1);
 }
 
-TEST(LedgerTest, UnsoldDisplayCountsAsExcess) {
-  RevenueLedger ledger;
-  ledger.RecordUnsoldDisplay();
-  EXPECT_EQ(ledger.totals().excess_displays, 1);
-  EXPECT_EQ(ledger.totals().displays, 1);
-}
-
 TEST(LedgerTest, RatesComputeCorrectly) {
   RevenueLedger ledger;
   for (int64_t id = 1; id <= 10; ++id) {

@@ -77,41 +77,6 @@ TEST(ArenaTest, GrowsBeyondOneChunkAndHonorsLargeRequests) {
   std::memset(p, 0x5A, big);
 }
 
-TEST(ArenaTest, ResetRetainsCapacityAndStopsMallocTraffic) {
-  Arena arena;
-  auto fill = [&arena] {
-    for (int i = 0; i < 200; ++i) {
-      int64_t* xs = arena.NewArray<int64_t>(64);
-      for (int j = 0; j < 64; ++j) {
-        xs[j] = i * 64 + j;
-      }
-    }
-  };
-  fill();
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_in_use(), 0);
-  const int64_t reserved_after_first = arena.bytes_reserved();
-  const int64_t chunks_after_first = arena.chunks_allocated();
-  // Steady state: the same fill pattern must not touch malloc again and must
-  // not grow the reservation — the allocation-regression contract the market
-  // loop depends on.
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    fill();
-    arena.Reset();
-    EXPECT_EQ(arena.chunks_allocated(), chunks_after_first) << "cycle " << cycle;
-    EXPECT_EQ(arena.bytes_reserved(), reserved_after_first) << "cycle " << cycle;
-  }
-}
-
-TEST(ArenaTest, ResetReusesChunkStorage) {
-  Arena arena;
-  void* first = arena.Allocate(64);
-  arena.Reset();
-  void* again = arena.Allocate(64);
-  // Same first chunk, same bump start.
-  EXPECT_EQ(first, again);
-}
-
 TEST(ArenaVectorTest, BehavesLikeVectorOnArenaStorage) {
   Arena arena;
   ArenaVector<int> v{ArenaAllocator<int>(&arena)};

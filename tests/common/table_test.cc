@@ -20,17 +20,6 @@ TEST(TextTableTest, AlignsColumns) {
   EXPECT_NE(text.find("long_name  2"), std::string::npos);
 }
 
-TEST(TextTableTest, NumericRowsFormat) {
-  TextTable table({"a", "b"});
-  table.AddNumericRow({1.0, 2.345}, 2);
-  std::ostringstream out;
-  table.Print(out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("1 "), std::string::npos);   // Integral: no decimals.
-  EXPECT_NE(text.find("2.35"), std::string::npos);  // Rounded to 2 places.
-  EXPECT_EQ(table.rows(), 1);
-}
-
 TEST(TextTableTest, SeparatorLinePresent) {
   TextTable table({"x"});
   table.AddRow({"1"});

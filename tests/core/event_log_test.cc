@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "src/common/csv.h"
 #include "src/common/units.h"
@@ -35,11 +38,18 @@ TEST(EventLogTest, CsvExportRoundTrips) {
   log.OnBilledDisplay(20.0, 1, 100, 0.002);
   std::ostringstream out;
   log.WriteCsv(out);
-  const CsvTable table = ParseCsv(out.str());
-  ASSERT_EQ(table.rows.size(), 2u);
-  EXPECT_EQ(table.rows[0][table.ColumnIndex("type")], "sale");
-  EXPECT_DOUBLE_EQ(std::stod(table.rows[0][table.ColumnIndex("time")]), 10.5);
-  EXPECT_EQ(table.rows[1][table.ColumnIndex("type")], "billed_display");
+  std::string error;
+  const std::optional<CsvTable> table = TryParseCsv(out.str(), &error);
+  ASSERT_TRUE(table.has_value()) << error;
+  ASSERT_EQ(table->rows.size(), 2u);
+  const auto column = [&table](const std::string& name) {
+    const auto it = std::find(table->header.begin(), table->header.end(), name);
+    EXPECT_NE(it, table->header.end()) << name;
+    return static_cast<size_t>(it - table->header.begin());
+  };
+  EXPECT_EQ(table->rows[0][column("type")], "sale");
+  EXPECT_DOUBLE_EQ(std::stod(table->rows[0][column("time")]), 10.5);
+  EXPECT_EQ(table->rows[1][column("type")], "billed_display");
 }
 
 TEST(EventLogTest, ByHourOfDayBuckets) {

@@ -18,30 +18,6 @@ const Comparison& SmallComparison() {
   return comparison;
 }
 
-TEST(FilterPopulationTest, DropsEarlySessions) {
-  Population population;
-  population.horizon_s = 2.0 * kDay;
-  UserTrace user;
-  user.user_id = 0;
-  user.sessions.push_back(Session{0, 0, 100.0, 10.0});
-  user.sessions.push_back(Session{0, 0, kDay + 100.0, 10.0});
-  population.users.push_back(user);
-  const Population filtered = FilterPopulation(population, kDay);
-  ASSERT_EQ(filtered.users.size(), 1u);
-  ASSERT_EQ(filtered.users[0].sessions.size(), 1u);
-  EXPECT_DOUBLE_EQ(filtered.users[0].sessions[0].start_time, kDay + 100.0);
-  EXPECT_DOUBLE_EQ(filtered.horizon_s, population.horizon_s);
-}
-
-TEST(FilterPopulationTest, KeepsEmptyUsersPositionally) {
-  Population population;
-  population.horizon_s = kDay;
-  population.users.push_back(UserTrace{.user_id = 5, .sessions = {}});
-  const Population filtered = FilterPopulation(population, 0.0);
-  ASSERT_EQ(filtered.users.size(), 1u);
-  EXPECT_EQ(filtered.users[0].user_id, 5);
-}
-
 TEST(GenerateInputsTest, AlignsCatalogAndCampaigns) {
   PadConfig config = QuickConfig();
   config.deadline_s = 2.0 * kHour;

@@ -87,27 +87,6 @@ TEST(SweepTest, SharedInputRunsMatchSerialIncludingEventLogs) {
   }
 }
 
-TEST(SweepTest, ReplicateWithSeedsDecorrelatesJobs) {
-  const PadConfig base = TinyConfig(8);
-  const std::vector<PadConfig> replicas = ReplicateWithSeeds(base, 4, 99);
-  ASSERT_EQ(replicas.size(), 4u);
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    for (size_t j = i + 1; j < replicas.size(); ++j) {
-      EXPECT_NE(replicas[i].seed, replicas[j].seed);
-      EXPECT_NE(replicas[i].population.seed, replicas[j].population.seed);
-      EXPECT_NE(replicas[i].campaigns.seed, replicas[j].campaigns.seed);
-    }
-  }
-  // Same base seed -> same replica seeds (the helper itself is deterministic).
-  const std::vector<PadConfig> again = ReplicateWithSeeds(base, 4, 99);
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    EXPECT_EQ(replicas[i].seed, again[i].seed);
-  }
-  // Different traces: the replicated runs must not be identical.
-  const std::vector<Comparison> results = RunComparisonMany(replicas, {.threads = 2});
-  EXPECT_NE(ComparisonDigest(results[0]), ComparisonDigest(results[1]));
-}
-
 TEST(SweepTest, DigestDistinguishesDifferentRuns) {
   PadConfig a = TinyConfig(8);
   PadConfig b = TinyConfig(8);

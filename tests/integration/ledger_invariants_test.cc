@@ -2,6 +2,7 @@
 // sequences (sales, replica displays at random times, periodic expiry).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "src/auction/ledger.h"
@@ -15,6 +16,13 @@ struct LedgerFuzzCase {
   int operations;
   double deadline_s;
 };
+
+// Names each case by its parameters (gtest_discover_tests turns this into the
+// ctest name, e.g. .../seed1_ops500_deadline3600). Without it gtest prints the
+// struct's raw bytes, uninitialized padding included, so names vary by build.
+void PrintTo(const LedgerFuzzCase& fuzz, std::ostream* out) {
+  *out << "seed" << fuzz.seed << "_ops" << fuzz.operations << "_deadline" << fuzz.deadline_s;
+}
 
 class LedgerFuzzTest : public ::testing::TestWithParam<LedgerFuzzCase> {};
 
@@ -47,7 +55,8 @@ TEST_P(LedgerFuzzTest, InvariantsHold) {
     } else if (pick < 0.95) {
       ledger.ExpireDeadlines(now);
     } else {
-      ledger.RecordUnsoldDisplay();
+      // A display of an impression that was never sold: pure excess.
+      ledger.RecordDisplay(0, now);
       ++displays_recorded;
     }
 

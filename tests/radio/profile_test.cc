@@ -81,13 +81,5 @@ TEST(ProfileDeathTest, InvalidProfileAborts) {
   EXPECT_DEATH(profile.Validate(), "downlink");
 }
 
-TEST(TrafficCategoryTest, NamesAreStable) {
-  EXPECT_STREQ(TrafficCategoryName(TrafficCategory::kAdFetch), "ad_fetch");
-  EXPECT_STREQ(TrafficCategoryName(TrafficCategory::kAdPrefetch), "ad_prefetch");
-  EXPECT_STREQ(TrafficCategoryName(TrafficCategory::kSlotReport), "slot_report");
-  EXPECT_STREQ(TrafficCategoryName(TrafficCategory::kAppContent), "app_content");
-  EXPECT_STREQ(TrafficCategoryName(TrafficCategory::kOther), "other");
-}
-
 }  // namespace
 }  // namespace pad

@@ -1,7 +1,7 @@
 // LatencyHistogram contract: the bucketing map is exact below kSubBuckets and
 // within 1/kSubBuckets relative error above; every reported quantile equals
-// the bucketized nearest-rank value of a sorted-vector oracle; Merge is
-// associative and equivalent to recording the union.
+// the bucketized nearest-rank value of a sorted-vector oracle; concurrent
+// recording loses nothing.
 #include "src/serve/latency_histogram.h"
 
 #include <gtest/gtest.h>
@@ -128,75 +128,6 @@ TEST(LatencyHistogramTest, QuantileClampsOutOfRangeQ) {
   histogram.Record(20);
   EXPECT_EQ(histogram.ValueAtQuantile(-0.5), histogram.ValueAtQuantile(0.0));
   EXPECT_EQ(histogram.ValueAtQuantile(1.5), histogram.ValueAtQuantile(1.0));
-}
-
-TEST(LatencyHistogramTest, MergeEqualsUnionAndIsAssociative) {
-  Rng rng(99);
-  std::vector<std::vector<uint64_t>> parts(3);
-  std::vector<uint64_t> all;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    for (int i = 0; i < 1000; ++i) {
-      const uint64_t value = static_cast<uint64_t>(rng.LogNormal(8.0 + p, 1.0));
-      parts[p].push_back(value);
-      all.push_back(value);
-    }
-  }
-  const auto fill = [](const std::vector<uint64_t>& values, LatencyHistogram& h) {
-    for (uint64_t v : values) {
-      h.Record(v);
-    }
-  };
-
-  // (A + B) + C.
-  LatencyHistogram left_a, left_b, left_c;
-  fill(parts[0], left_a);
-  fill(parts[1], left_b);
-  fill(parts[2], left_c);
-  left_a.Merge(left_b);
-  left_a.Merge(left_c);
-
-  // A + (B + C).
-  LatencyHistogram right_a, right_b, right_c;
-  fill(parts[0], right_a);
-  fill(parts[1], right_b);
-  fill(parts[2], right_c);
-  right_b.Merge(right_c);
-  right_a.Merge(right_b);
-
-  // Everything recorded into one histogram directly.
-  LatencyHistogram direct;
-  fill(all, direct);
-
-  for (int i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
-    ASSERT_EQ(left_a.BucketCount(i), right_a.BucketCount(i)) << "bucket " << i;
-    ASSERT_EQ(left_a.BucketCount(i), direct.BucketCount(i)) << "bucket " << i;
-  }
-  EXPECT_EQ(left_a.count(), direct.count());
-  EXPECT_EQ(right_a.count(), direct.count());
-  EXPECT_EQ(left_a.min(), direct.min());
-  EXPECT_EQ(left_a.max(), direct.max());
-  for (double q : {0.5, 0.99, 0.999}) {
-    EXPECT_EQ(left_a.ValueAtQuantile(q), direct.ValueAtQuantile(q));
-    EXPECT_EQ(right_a.ValueAtQuantile(q), direct.ValueAtQuantile(q));
-  }
-}
-
-TEST(LatencyHistogramTest, MergeOfEmptyIsIdentity) {
-  LatencyHistogram histogram;
-  histogram.Record(5);
-  histogram.Record(500);
-  LatencyHistogram empty;
-  histogram.Merge(empty);
-  EXPECT_EQ(histogram.count(), 2u);
-  EXPECT_EQ(histogram.min(), 5u);
-  EXPECT_EQ(histogram.max(), 500u);
-
-  // And merging into an empty histogram copies the distribution.
-  LatencyHistogram fresh;
-  fresh.Merge(histogram);
-  EXPECT_EQ(fresh.count(), 2u);
-  EXPECT_EQ(fresh.min(), 5u);
-  EXPECT_EQ(fresh.max(), 500u);
 }
 
 TEST(LatencyHistogramTest, ConcurrentRecordLosesNothing) {

@@ -42,10 +42,6 @@ TEST_F(SessionAdapterTest, SnapshotCoversThePopulation) {
   // QuickConfig demand (>= 50 arrivals/day over a 7-day warmup) guarantees a
   // non-empty book at the snapshot.
   EXPECT_GT(engine_->active_campaigns(), 0);
-  for (int64_t c = 0; c < engine_->num_clients(); ++c) {
-    EXPECT_GE(engine_->client_slots_per_s(c), 0.0);
-    EXPECT_GE(engine_->client_segment(c), 0);
-  }
 }
 
 TEST_F(SessionAdapterTest, UnknownClientIsRejected) {

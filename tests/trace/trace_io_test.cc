@@ -3,12 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string_view>
 
 #include "src/common/units.h"
 #include "src/trace/generator.h"
 
 namespace pad {
 namespace {
+
+// Parses text that the test expects to be well formed.
+Population Parse(std::string_view text) {
+  Population population;
+  std::string error;
+  EXPECT_TRUE(TryParseTrace(text, &population, &error)) << error;
+  return population;
+}
 
 TEST(TraceIoTest, RoundTripPreservesEverything) {
   PopulationConfig config;
@@ -19,7 +28,7 @@ TEST(TraceIoTest, RoundTripPreservesEverything) {
 
   std::ostringstream out;
   WriteTrace(original, out);
-  const Population loaded = ParseTrace(out.str());
+  const Population loaded = Parse(out.str());
 
   EXPECT_DOUBLE_EQ(loaded.horizon_s, original.horizon_s);
   ASSERT_EQ(loaded.users.size(), original.users.size());
@@ -42,7 +51,7 @@ TEST(TraceIoTest, ParseWithoutHorizonDerivesFromSessions) {
       "user_id,app_id,start_time,duration_s\n"
       "0,1,1000,60\n"
       "0,2,90000,120\n";
-  const Population population = ParseTrace(text);
+  const Population population = Parse(text);
   // Max end = 90120 s -> rounded up to 2 days.
   EXPECT_DOUBLE_EQ(population.horizon_s, 2.0 * kDay);
 }
@@ -51,7 +60,7 @@ TEST(TraceIoTest, LegacyTraceWithoutSegmentColumnLoads) {
   const std::string text =
       "user_id,app_id,start_time,duration_s\n"
       "3,1,1000,60\n";
-  const Population population = ParseTrace(text);
+  const Population population = Parse(text);
   ASSERT_EQ(population.users.size(), 1u);
   EXPECT_EQ(population.users[0].segment, 0);
 }
@@ -62,7 +71,7 @@ TEST(TraceIoTest, ParseSortsSessionsWithinUser) {
       "0,1,500,10\n"
       "0,1,100,10\n"
       "0,1,300,10\n";
-  const Population population = ParseTrace(text);
+  const Population population = Parse(text);
   ASSERT_EQ(population.users.size(), 1u);
   const auto& sessions = population.users[0].sessions;
   ASSERT_EQ(sessions.size(), 3u);
@@ -76,7 +85,7 @@ TEST(TraceIoTest, ParseGroupsUsers) {
       "3,0,10,5\n"
       "1,0,20,5\n"
       "3,0,30,5\n";
-  const Population population = ParseTrace(text);
+  const Population population = Parse(text);
   ASSERT_EQ(population.users.size(), 2u);
   // Users come out ordered by id.
   EXPECT_EQ(population.users[0].user_id, 1);
@@ -91,8 +100,9 @@ TEST(TraceIoTest, FileRoundTrip) {
   const Population original = GeneratePopulation(config);
   const std::string path = ::testing::TempDir() + "/trace_io_test.csv";
   WriteTraceFile(original, path);
-  const Population loaded = ReadTraceFile(path);
-  EXPECT_EQ(loaded.TotalSessions(), original.TotalSessions());
+  const StatusOr<Population> loaded = LoadTraceFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->TotalSessions(), original.TotalSessions());
 }
 
 TEST(TraceIoTest, WriteReadWriteYieldsIdenticalBytes) {
@@ -106,7 +116,7 @@ TEST(TraceIoTest, WriteReadWriteYieldsIdenticalBytes) {
 
   std::ostringstream first;
   WriteTrace(original, first);
-  const Population loaded = ParseTrace(first.str());
+  const Population loaded = Parse(first.str());
   std::ostringstream second;
   WriteTrace(loaded, second);
   EXPECT_EQ(first.str(), second.str());
@@ -195,13 +205,11 @@ TEST(TraceIoTest, FailedParseLeavesPopulationUntouched) {
   EXPECT_DOUBLE_EQ(population.horizon_s, 123.0);
 }
 
-TEST(TraceIoDeathTest, MissingFileAborts) {
-  EXPECT_DEATH(ReadTraceFile("/nonexistent/path/trace.csv"), "cannot open");
-}
-
-TEST(TraceIoDeathTest, ParseTraceAbortsOnMalformedInput) {
-  // The aborting wrapper keeps the old contract for internal callers.
-  EXPECT_DEATH(ParseTrace("user_id,app_id,start_time,duration_s\n0,1\n"), "ragged");
+TEST(TraceIoTest, MissingFileIsNotFound) {
+  const StatusOr<Population> loaded = LoadTraceFile("/nonexistent/path/trace.csv");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(loaded.status().message().find("cannot open"), std::string::npos);
 }
 
 }  // namespace

@@ -2,52 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <array>
 
 namespace pad {
 namespace {
 
-TEST(DiurnalProfileTest, WeightsNormalizedToMeanOne) {
-  for (const DiurnalProfile& profile : {DiurnalProfile::Typical(), DiurnalProfile::Flat()}) {
-    double sum = 0.0;
-    for (int h = 0; h < 24; ++h) {
-      sum += profile.Weight(static_cast<double>(h) + 0.5);
-    }
-    EXPECT_NEAR(sum / 24.0, 1.0, 1e-9);
-  }
-}
-
 TEST(DiurnalProfileTest, FlatIsConstant) {
   const DiurnalProfile flat = DiurnalProfile::Flat();
-  for (double h = 0.0; h < 24.0; h += 0.37) {
-    EXPECT_NEAR(flat.Weight(h), 1.0, 1e-9);
+  Rng rng(4);
+  std::array<int, 24> per_hour{};
+  const int n = 24000;
+  for (int i = 0; i < n; ++i) {
+    ++per_hour[static_cast<size_t>(flat.SampleHour(rng))];
   }
-}
-
-TEST(DiurnalProfileTest, TypicalHasEveningPeakAndNightTrough) {
-  const DiurnalProfile profile = DiurnalProfile::Typical();
-  EXPECT_GT(profile.Weight(20.5), 3.0 * profile.Weight(3.5));
-  EXPECT_GT(profile.Weight(20.5), profile.Weight(10.5));
-}
-
-TEST(DiurnalProfileTest, PhaseShiftMovesPeak) {
-  const DiurnalProfile profile = DiurnalProfile::Typical();
-  // Shifting by +3 h: the weight at hour 23.5 with shift 3 equals hour 20.5 unshifted.
-  EXPECT_NEAR(profile.Weight(23.5, 3.0), profile.Weight(20.5), 1e-9);
-}
-
-TEST(DiurnalProfileTest, WeightWrapsAroundMidnight) {
-  const DiurnalProfile profile = DiurnalProfile::Typical();
-  EXPECT_NEAR(profile.Weight(-1.0), profile.Weight(23.0), 1e-9);
-  EXPECT_NEAR(profile.Weight(25.0), profile.Weight(1.0), 1e-9);
-}
-
-TEST(DiurnalProfileTest, InterpolationIsContinuous) {
-  const DiurnalProfile profile = DiurnalProfile::Typical();
-  for (double h = 0.05; h < 24.0; h += 0.1) {
-    const double a = profile.Weight(h);
-    const double b = profile.Weight(h + 0.01);
-    EXPECT_LT(std::fabs(a - b), 0.1) << "discontinuity near hour " << h;
+  for (int count : per_hour) {
+    EXPECT_NEAR(count, n / 24, 150);  // ~5 binomial standard deviations.
   }
 }
 

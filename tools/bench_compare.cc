@@ -1,18 +1,18 @@
 // bench_compare — perf regression gate over two bench JSON files.
 //
 //   $ bench_compare baseline.json candidate.json
-//   $ bench_compare BENCH_population_scale.json /tmp/new.json \
+//   $ bench_compare BENCH_population_scale.json /tmp/new.json
 //       --default_tol 0.05 --tol sold_count=0.10 --ignore users_per_s
 //
 // Both files are BenchRow arrays as written by any bench_* harness's
-// `--json <path>` (see src/common/bench_baseline.h). Rows are matched by
+// `json=<path>` (see src/common/bench_baseline.h). Rows are matched by
 // (bench, metric, config); each matched pair must agree within the metric's
-// relative tolerance.
+// relative tolerance, a finite number >= 0.
 //
 // Exit codes: 0 all metrics within tolerance; 1 a metric drifted past its
 // tolerance or vanished from the candidate; 2 usage, IO, or parse errors.
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -42,13 +42,28 @@ int Usage() {
   return 2;
 }
 
+// Parses a whole tolerance value: a finite number >= 0, nothing after it.
+bool ParseTolerance(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && std::isfinite(*out) && *out >= 0.0;
+}
+
+int BadTolerance(const std::string& flag, const std::string& text) {
+  std::cerr << "bench_compare: " << flag << " wants a finite number >= 0, got '" << text
+            << "'\n";
+  return 2;
+}
+
 int Run(int argc, char** argv) {
   std::vector<std::string> files;
   BenchCompareOptions options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--default_tol" && i + 1 < argc) {
-      options.default_tolerance = std::atof(argv[++i]);
+      if (!ParseTolerance(argv[++i], &options.default_tolerance)) {
+        return BadTolerance(arg, argv[i]);
+      }
     } else if (arg == "--tol" && i + 1 < argc) {
       const std::string spec = argv[++i];
       const size_t eq = spec.find('=');
@@ -56,7 +71,9 @@ int Run(int argc, char** argv) {
         std::cerr << "bench_compare: --tol wants metric=R, got '" << spec << "'\n";
         return 2;
       }
-      options.metric_tolerance[spec.substr(0, eq)] = std::atof(spec.c_str() + eq + 1);
+      if (!ParseTolerance(spec.substr(eq + 1), &options.metric_tolerance[spec.substr(0, eq)])) {
+        return BadTolerance("--tol " + spec.substr(0, eq), spec.substr(eq + 1));
+      }
     } else if (arg == "--ignore" && i + 1 < argc) {
       options.ignore_metrics.insert(argv[++i]);
     } else if (arg == "--config" && i + 1 < argc) {
